@@ -70,6 +70,10 @@ impl Tcdm {
     ///
     /// Panics if the access is out of bounds (kernel tile layouts are static,
     /// so an out-of-bounds access is a programming error, not a data error).
+    // The workspace has no LTO: without the hint every kernel element access
+    // is an out-of-line cross-crate call whose speed depends on where the
+    // linker happens to place it.
+    #[inline]
     pub fn read_f32(&self, offset: u64) -> f32 {
         let o = offset as usize;
         f32::from_le_bytes(self.data[o..o + 4].try_into().expect("4-byte slice"))
@@ -80,6 +84,7 @@ impl Tcdm {
     /// # Panics
     ///
     /// Panics if the access is out of bounds.
+    #[inline]
     pub fn write_f32(&mut self, offset: u64, value: f32) {
         let o = offset as usize;
         self.data[o..o + 4].copy_from_slice(&value.to_le_bytes());

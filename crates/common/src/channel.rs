@@ -29,8 +29,10 @@
 //!   until the level drops below the depth (occupancy only changes at a
 //!   boundary, so the admission point is the arrival itself or a boundary);
 //! * [`TimedQueue::push`] finds its admission point with a single combined
-//!   query and splices the new interval in by incrementing the levels it
-//!   covers — O(log n + overlap), where the overlap is bounded by the
+//!   query, which also yields the level holding there, and splices the new
+//!   interval in with one walk over the boundaries it covers plus at most
+//!   two endpoint probes (the exit boundary, and the enter boundary when it
+//!   is new) — O(log n + overlap), where the overlap is bounded by the
 //!   queue's depth for bounded queues rather than by history length.
 //!
 //! **Watermark compaction** ([`TimedQueue::compact_before`]) keeps memory
@@ -283,57 +285,51 @@ impl TimedQueue {
         self.admit_at(t).0
     }
 
-    /// Ensures a boundary event exists at `k`, seeding it with the level
-    /// holding there (the running prefix stays correct across the split).
-    fn ensure_boundary(&mut self, k: u64) {
-        if !self.timeline.contains_key(&k) {
-            let level = match self.timeline.range(..k).next_back() {
-                Some((_, b)) => b.occ,
-                None => self.base,
-            };
+    /// Splices `[enter, exit)` into the index, given `level`, the occupancy
+    /// holding at `enter` before the splice (as [`TimedQueue::admit_at`]
+    /// returned it). O(log n + boundaries covered).
+    fn insert(&mut self, enter: u64, exit: u64, level: u32) {
+        debug_assert!(enter < exit, "intervals occupy at least one cycle");
+        debug_assert!(enter >= self.watermark, "insert below the watermark");
+        let mut enter_exists = false;
+        let mut before_exit = level;
+        for (&k, b) in self.timeline.range_mut(enter..exit) {
+            if k == enter {
+                enter_exists = true;
+                b.delta += 1;
+            }
+            before_exit = b.occ;
+            b.occ += 1;
+        }
+        if !enter_exists {
             self.timeline.insert(
-                k,
+                enter,
                 Boundary {
-                    delta: 0,
-                    occ: level,
+                    delta: 1,
+                    occ: level + 1,
                 },
             );
         }
-    }
-
-    /// Splices the interval `[enter, exit)` into the index: `+1`/`−1`
-    /// boundary deltas and a level increment across every boundary the
-    /// interval covers. Returns the occupancy at `enter` *including* the
-    /// new entry. O(log n + boundaries covered).
-    fn insert(&mut self, enter: u64, exit: u64) -> usize {
-        debug_assert!(enter < exit, "intervals occupy at least one cycle");
-        debug_assert!(enter >= self.watermark, "insert below the watermark");
-        self.ensure_boundary(enter);
-        self.ensure_boundary(exit);
-        let mut at_enter = 0u32;
-        for (&k, b) in self.timeline.range_mut(enter..exit) {
-            b.occ += 1;
-            if k == enter {
-                at_enter = b.occ;
-            }
-        }
+        // The interval does not cover `exit`: a new boundary there keeps the
+        // pre-splice level that held just before it.
         self.timeline
-            .get_mut(&enter)
-            .expect("enter boundary exists")
-            .delta += 1;
-        self.timeline
-            .get_mut(&exit)
-            .expect("exit boundary exists")
+            .entry(exit)
+            .or_insert(Boundary {
+                delta: 0,
+                occ: before_exit,
+            })
             .delta -= 1;
         self.max_exit = self.max_exit.max(exit);
-        at_enter as usize
     }
 
     /// Admits an entry arriving at `enter` that holds its slot until `exit`
     /// (clamped to occupy at least one cycle past admission). Returns the
     /// admission time and the occupancy including the new entry.
+    ///
+    /// Costs the [`TimedQueue::admit_at`] query plus one splice: a walk of
+    /// the boundaries the entry covers and at most two endpoint probes.
     pub fn push(&mut self, enter: u64, exit: u64) -> (u64, usize) {
-        let (admitted, _) = self.admit_at(enter);
+        let (admitted, level) = self.admit_at(enter);
         self.stall_cycles += admitted - enter;
         self.admissions += 1;
         if !self.record {
@@ -343,7 +339,8 @@ impl TimedQueue {
             return (admitted, 0);
         }
         let exit = exit.max(admitted + 1);
-        let occupancy = self.insert(admitted, exit);
+        self.insert(admitted, exit, level as u32);
+        let occupancy = level + 1;
         self.peak = self.peak.max(occupancy);
         (admitted, occupancy)
     }

@@ -5,9 +5,16 @@
 //! out-of-order interval batches across a spread of depths; admission
 //! times, returned occupancies, interleaved probe queries, stalls, peaks
 //! and admission counts must all be identical. The same driver is then
-//! pointed at a deliberately broken index (an off-by-one on the exit
-//! boundary delta) and must detect the divergence — proving the suite has
-//! the power to catch exactly the class of bug the index could hide.
+//! pointed at deliberately broken indexes (an off-by-one on the exit
+//! boundary delta, and a splice that seeds a new exit boundary with the
+//! post-increment level) and must detect the divergence — proving the suite
+//! has the power to catch exactly the class of bug the index could hide.
+//!
+//! A second generator aims at the splice's edge cases: endpoints snapped
+//! onto boundaries that already exist, pushes exactly at the compaction
+//! watermark, and stall-admitted pushes on shallow queues.
+
+use std::collections::BTreeSet;
 
 use sva_common::rng::DeterministicRng;
 use sva_common::{NaiveTimedQueue, TimedQueue};
@@ -97,6 +104,75 @@ impl QueueModel for OffByOneQueue {
     }
 }
 
+/// An indexed queue whose splice seeds a freshly created exit boundary with
+/// the level *after* the increment instead of the one before it, so one
+/// phantom unit of occupancy holds from the exit to the next boundary (to
+/// the end of time past the last one). Modelled from outside the engine: a
+/// correct queue holds the real intervals, a second recording queue the
+/// phantoms, and admission walks the union's boundaries like the engine.
+struct HotExitQueue {
+    real: TimedQueue,
+    phantom: TimedQueue,
+    boundaries: BTreeSet<u64>,
+    max_exit: u64,
+    peak: usize,
+    stall_cycles: u64,
+}
+
+impl HotExitQueue {
+    fn new(depth: usize) -> Self {
+        Self {
+            real: TimedQueue::new(depth),
+            phantom: TimedQueue::unbounded_recording(),
+            boundaries: BTreeSet::new(),
+            max_exit: 0,
+            peak: 0,
+            stall_cycles: 0,
+        }
+    }
+}
+
+impl QueueModel for HotExitQueue {
+    fn push(&mut self, enter: u64, exit: u64) -> (u64, usize) {
+        let admitted = self.admission_at(enter);
+        let exit = exit.max(admitted + 1);
+        let occupancy = self.occupancy_at(admitted) + 1;
+        if !self.boundaries.contains(&exit) {
+            let next = self.boundaries.range(exit..).next().copied();
+            self.phantom.push(exit, next.unwrap_or(u64::MAX));
+        }
+        // The union is below the depth at `admitted`, so the real queue
+        // admits there without a stall of its own.
+        assert_eq!(self.real.push(admitted, exit).0, admitted);
+        self.boundaries.extend([admitted, exit]);
+        self.max_exit = self.max_exit.max(exit);
+        self.peak = self.peak.max(occupancy);
+        self.stall_cycles += admitted - enter;
+        (admitted, occupancy)
+    }
+    fn occupancy_at(&self, t: u64) -> usize {
+        self.real.occupancy_at(t) + self.phantom.occupancy_at(t)
+    }
+    fn admission_at(&self, t: u64) -> u64 {
+        if t >= self.max_exit {
+            return t;
+        }
+        std::iter::once(t)
+            .chain(self.boundaries.range(t + 1..).copied())
+            .find(|&at| self.occupancy_at(at) < self.real.depth())
+            .unwrap_or(self.max_exit)
+    }
+    fn peak(&self) -> usize {
+        self.peak
+    }
+    fn stall_cycles(&self) -> u64 {
+        self.stall_cycles
+    }
+    fn admissions(&self) -> u64 {
+        self.real.admissions()
+    }
+}
+
 /// One randomized out-of-order interval batch: `shards` independent streams
 /// that each restart their cursor near zero (the multi-cluster shape that
 /// makes simulation order diverge from time order), interleaved round-robin.
@@ -119,6 +195,35 @@ fn generate_batch(rng: &mut DeterministicRng, pushes: usize) -> Vec<(u64, u64)> 
         // clamps to one occupied cycle.
         let hold = rng.next_below(120);
         batch.push((enter, enter + hold));
+    }
+    batch
+}
+
+/// A batch aimed at the splice's endpoint cases: most enters and exits
+/// snap onto an endpoint an earlier push used, which is usually an existing
+/// boundary, so the splice meets existing enter and exit boundaries and
+/// back-to-back intervals.
+fn generate_snapped_batch(rng: &mut DeterministicRng, pushes: usize) -> Vec<(u64, u64)> {
+    let pick = |rng: &mut DeterministicRng, points: &[u64]| {
+        points[rng.next_below(points.len() as u64) as usize]
+    };
+    let mut points: Vec<u64> = Vec::new();
+    let mut cursor = 0u64;
+    let mut batch = Vec::with_capacity(pushes);
+    for _ in 0..pushes {
+        let enter = if !points.is_empty() && rng.next_below(3) > 0 {
+            pick(rng, &points)
+        } else {
+            cursor += rng.next_below(60);
+            cursor
+        };
+        let exit = match rng.next_below(3) {
+            0 => enter + rng.next_below(80),
+            _ if !points.is_empty() => pick(rng, &points).max(enter + 1),
+            _ => enter + 1,
+        };
+        points.extend([enter, exit]);
+        batch.push((enter, exit));
     }
     batch
 }
@@ -241,6 +346,128 @@ fn suite_catches_an_injected_off_by_one_in_the_delta_index() {
     assert!(
         caught,
         "the off-by-one exit boundary must be observable on at least one batch"
+    );
+}
+
+#[test]
+fn indexed_engine_matches_naive_reference_on_snapped_batches() {
+    let mut rng = DeterministicRng::new(0x71ED_0004);
+    for round in 0..40 {
+        let pushes = 60 + rng.next_below(140) as usize;
+        let batch = generate_snapped_batch(&mut rng, pushes);
+        for depth in DEPTHS {
+            let (mut indexed, mut naive) = build_pair(depth);
+            let mut probe_rng = DeterministicRng::new(0xA000 + round);
+            if let Some(err) = compare_on_batch(&mut indexed, &mut naive, &batch, &mut probe_rng) {
+                panic!("round {round}, depth {depth:?}: {err}");
+            }
+        }
+    }
+}
+
+#[test]
+fn shallow_queues_admit_late_on_both_generators() {
+    // The splice must also be exercised at an admitted instant other than
+    // the arrival: on depths 1-4 every generator produces stalled pushes.
+    let mut rng = DeterministicRng::new(0x71ED_0005);
+    for depth in 1..=4usize {
+        for snapped in [false, true] {
+            let batch = if snapped {
+                generate_snapped_batch(&mut rng, 150)
+            } else {
+                generate_batch(&mut rng, 150)
+            };
+            let mut indexed = TimedQueue::new(depth);
+            let mut naive = NaiveTimedQueue::new(depth);
+            let stalled = batch
+                .iter()
+                .filter(|&&(enter, exit)| {
+                    let admitted = indexed.push(enter, exit);
+                    assert_eq!(admitted, naive.push(enter, exit));
+                    admitted.0 != enter
+                })
+                .count();
+            indexed.debug_validate();
+            assert!(
+                stalled > 10,
+                "depth {depth}, snapped {snapped}: only {stalled} stalled pushes"
+            );
+        }
+    }
+}
+
+#[test]
+fn pushes_at_the_compaction_watermark_match_the_naive_reference() {
+    // Open-loop rounds: compact at the round's first arrival, push exactly
+    // at the watermark, then pushes whose endpoints snap onto the round's
+    // earlier instants. The reference never compacts; every push result and
+    // every probe at or past the watermark must agree.
+    let mut rng = DeterministicRng::new(0x71ED_0006);
+    for depth in [1usize, 2, 3, 4, 8] {
+        let mut indexed = TimedQueue::new(depth);
+        let mut naive = NaiveTimedQueue::new(depth);
+        let mut watermark = 0u64;
+        for round in 0..60 {
+            indexed.compact_before(watermark);
+            let mut points = vec![watermark];
+            for i in 0..12 {
+                let enter = if i == 0 {
+                    watermark
+                } else {
+                    points[rng.next_below(points.len() as u64) as usize]
+                };
+                let exit = if rng.next_below(2) == 0 {
+                    points[rng.next_below(points.len() as u64) as usize].max(enter + 1)
+                } else {
+                    enter + 1 + rng.next_below(90)
+                };
+                let got = indexed.push(enter, exit);
+                assert_eq!(
+                    got,
+                    naive.push(enter, exit),
+                    "depth {depth}, round {round}: push [{enter}, {exit}) at watermark {watermark}"
+                );
+                points.extend([got.0, exit]);
+                indexed.debug_validate();
+            }
+            for t in points.iter().flat_map(|&p| [p, p + 1]) {
+                assert_eq!(
+                    indexed.occupancy_at(t),
+                    naive.occupancy_at(t),
+                    "occupancy_at({t})"
+                );
+                assert_eq!(
+                    indexed.admission_at(t),
+                    naive.admission_at(t),
+                    "admission_at({t})"
+                );
+            }
+            watermark += 1 + rng.next_below(60);
+        }
+        assert!(indexed.compacted_events() > 0, "compaction never fired");
+        assert_eq!(indexed.stall_cycles(), naive.stall_cycles());
+        assert_eq!(indexed.peak(), naive.peak());
+    }
+}
+
+#[test]
+fn suite_catches_a_new_exit_boundary_seeded_with_the_post_increment_level() {
+    let mut rng = DeterministicRng::new(0x71ED_0007);
+    let mut caught = 0;
+    for round in 0..10 {
+        let batch = generate_snapped_batch(&mut rng, 120);
+        for depth in [1usize, 2, 3, 4] {
+            let mut broken = HotExitQueue::new(depth);
+            let mut naive = NaiveTimedQueue::new(depth);
+            let mut probe_rng = DeterministicRng::new(0xC000 + round);
+            if compare_on_batch(&mut broken, &mut naive, &batch, &mut probe_rng).is_some() {
+                caught += 1;
+            }
+        }
+    }
+    assert!(
+        caught > 0,
+        "a hot exit boundary must be observable on at least one batch"
     );
 }
 

@@ -16,7 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 use sva_cluster::{ClusterConfig, DmaConfig};
-use sva_common::{ArbitrationPolicy, Cycles, QueueDepths};
+use sva_common::{ArbitrationPolicy, Cycles, Error, QueueDepths, Result};
 use sva_host::{DriverConfig, HostCpuConfig, HostTrafficConfig, InterferenceLevel};
 use sva_iommu::{IommuConfig, IommuMode, TlbHierarchyConfig};
 use sva_mem::{DramChannelConfig, LlcConfig, MemSysConfig};
@@ -331,6 +331,29 @@ impl PlatformConfig {
     pub fn with_demand_paging(mut self) -> Self {
         self.iommu.demand_paging = true;
         self
+    }
+
+    /// Rejects knob values the platform cannot simulate, naming the knob.
+    /// [`crate::Platform::new`] calls this before building anything.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] for a zero-entry IOTLB
+    /// (`iommu.iotlb_entries`) or a DMA engine allowed no outstanding
+    /// bursts (`cluster.dma.max_outstanding`).
+    pub(crate) fn validate(&self) -> Result<()> {
+        let reject = |reason: &str| {
+            Err(Error::InvalidConfig {
+                reason: reason.to_string(),
+            })
+        };
+        if self.iommu.iotlb_entries == 0 {
+            return reject("iommu.iotlb_entries (with_iotlb_entries) must be at least 1");
+        }
+        if self.cluster.dma.max_outstanding == 0 {
+            return reject("cluster.dma.max_outstanding (with_dma_outstanding) must be at least 1");
+        }
+        Ok(())
     }
 }
 

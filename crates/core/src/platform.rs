@@ -97,9 +97,12 @@ impl Platform {
     ///
     /// # Errors
     ///
-    /// Returns allocation failures while setting up the address space or the
-    /// IOMMU structures.
+    /// Returns [`sva_common::Error::InvalidConfig`], naming the knob, for a
+    /// zero-entry IOTLB or a DMA engine allowed no outstanding bursts, and
+    /// allocation failures while setting up the address space or the IOMMU
+    /// structures.
     pub fn new(config: PlatformConfig) -> Result<Self> {
+        config.validate()?;
         let clock = GlobalClock::new();
         let mut mem = MemorySystem::new(config.mem.clone());
         mem.attach_clock(&clock);
@@ -190,6 +193,25 @@ impl Platform {
 mod tests {
     use super::*;
     use crate::config::SocVariant;
+
+    fn rejected_knob(config: PlatformConfig) -> String {
+        match Platform::new(config) {
+            Err(sva_common::Error::InvalidConfig { reason }) => reason,
+            other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn zero_entry_iotlb_is_rejected_by_name() {
+        let reason = rejected_knob(PlatformConfig::iommu_with_llc(200).with_iotlb_entries(0));
+        assert!(reason.contains("iotlb_entries"), "{reason}");
+    }
+
+    #[test]
+    fn zero_outstanding_dma_is_rejected_by_name() {
+        let reason = rejected_knob(PlatformConfig::iommu_with_llc(200).with_dma_outstanding(0));
+        assert!(reason.contains("max_outstanding"), "{reason}");
+    }
 
     #[test]
     fn all_variants_boot() {

@@ -16,6 +16,14 @@
 //!   ([`ServiceTable::calibrate`]), then runs a discrete-event loop over
 //!   `clusters` servers on one shared timeline.
 //!
+//! The event loop never queues the arrivals. Each tenant's trace stays the
+//! nondecreasing vector [`ArrivalMix::generate`] produced, and the loop
+//! merges the trace heads by `(time, tenant, position)`. Only completions
+//! go through a heap, which holds at most one `Free` event per cluster.
+//! At equal instants an arrival goes before a completion, and equal-time
+//! completions go in dispatch order. Request ids are tenant-major, so this
+//! is the `(time, id)` order of one heap holding every event.
+//!
 //! The end-to-end latency of a request is `completion − arrival`: queueing
 //! delay plus the calibrated offload cost (trigger + device execution +
 //! sync). The report carries p50/p99/p999 overall and per tenant, goodput
@@ -23,7 +31,7 @@
 //! [`TimedQueue`]), and conservation counters
 //! (`offered = completed + rejected` once the run drains).
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
@@ -275,37 +283,6 @@ impl ServingReport {
     }
 }
 
-/// A heap entry ordered by `(time, seq)` ascending; `seq` is the global
-/// event issue order, making pops fully deterministic.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-struct Event {
-    time: u64,
-    seq: u64,
-    kind: EventKind,
-}
-
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum EventKind {
-    /// A request arrives at the admission queue.
-    Arrival(ServingRequest),
-    /// `cluster` finishes its current request and frees up.
-    Free(usize),
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so the earliest (time, seq) pops
-        // first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Runs one serving point: generates the arrival traces, replays them
 /// through the admission queue and dispatcher over `clusters` servers, and
 /// drains to completion.
@@ -334,10 +311,10 @@ pub fn run(config: &ServingConfig, services: &ServiceTable) -> ServingReport {
     );
 
     // Arrival traces: a dedicated forked RNG stream per tenant keeps the
-    // traces independent of tenant order and of each other.
+    // traces independent of tenant order and of each other. Ids are
+    // tenant-major.
     let mut rng = DeterministicRng::new(config.seed);
-    let mut heap: BinaryHeap<Event> = BinaryHeap::new();
-    let mut seq = 0u64;
+    let mut traces: Vec<Vec<ServingRequest>> = Vec::with_capacity(config.tenants.len());
     let mut next_id = 0u64;
     for (idx, tenant) in config.tenants.iter().enumerate() {
         let service = services.service(tenant.kernel);
@@ -348,21 +325,30 @@ pub fn run(config: &ServingConfig, services: &ServiceTable) -> ServingReport {
         let trace = config
             .mix
             .generate(&mut stream, tenant.requests, Cycles::new(mean_gap));
-        for arrival in trace {
-            heap.push(Event {
-                time: arrival.raw(),
-                seq,
-                kind: EventKind::Arrival(ServingRequest {
-                    id: next_id,
+        debug_assert!(
+            trace.windows(2).all(|w| w[0] <= w[1]),
+            "arrival traces must be nondecreasing for the merge"
+        );
+        traces.push(
+            trace
+                .iter()
+                .zip(next_id..)
+                .map(|(&arrival, id)| ServingRequest {
+                    id,
                     tenant: idx,
                     arrival,
                     service,
-                }),
-            });
-            seq += 1;
-            next_id += 1;
-        }
+                })
+                .collect(),
+        );
+        next_id += trace.len() as u64;
     }
+    // Next unconsumed position of each trace.
+    let mut heads = vec![0usize; traces.len()];
+    // Completion events `(time, seq, cluster)`, earliest first; `seq` is
+    // the dispatch order, which breaks ties between equal-time completions.
+    let mut frees: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
+    let mut seq = 0u64;
 
     let mut busy: Vec<Option<ServingRequest>> = vec![None; config.clusters];
     let mut waiting = TimedQueue::unbounded_recording();
@@ -376,22 +362,35 @@ pub fn run(config: &ServingConfig, services: &ServiceTable) -> ServingReport {
     let mut completed = 0u64;
     let mut makespan = 0u64;
 
-    while let Some(event) = heap.pop() {
-        let now = event.time;
-        match event.kind {
-            EventKind::Arrival(request) => {
-                dispatcher.admit(request);
+    loop {
+        // The earliest trace head, ties to the lower tenant index.
+        let arrival = traces
+            .iter()
+            .zip(&heads)
+            .enumerate()
+            .filter_map(|(idx, (trace, &head))| trace.get(head).map(|r| (r.arrival.raw(), idx)))
+            .min();
+        let now = match arrival {
+            // At equal instants an arrival goes before a completion.
+            Some((time, idx)) if frees.peek().is_none_or(|&Reverse((at, _, _))| time <= at) => {
+                dispatcher.admit(traces[idx][heads[idx]]);
+                heads[idx] += 1;
+                time
             }
-            EventKind::Free(cluster) => {
+            _ => {
+                let Some(Reverse((time, _, cluster))) = frees.pop() else {
+                    break;
+                };
                 let request = busy[cluster].take().expect("Free event on idle cluster");
-                let latency = now - request.arrival.raw();
+                let latency = time - request.arrival.raw();
                 overall.record(latency);
                 per_tenant_hist[request.tenant].record(latency);
                 completed_per_tenant[request.tenant] += 1;
                 completed += 1;
-                makespan = makespan.max(now);
+                makespan = makespan.max(time);
+                time
             }
-        }
+        };
         // Dispatch sweep: every free cluster pulls work while any is
         // eligible. Ascending cluster order keeps the sweep deterministic.
         for (cluster, slot) in busy.iter_mut().enumerate() {
@@ -401,11 +400,7 @@ pub fn run(config: &ServingConfig, services: &ServiceTable) -> ServingReport {
             if let Some(request) = dispatcher.next_for(cluster) {
                 waiting.push(request.arrival.raw(), now);
                 *slot = Some(request);
-                heap.push(Event {
-                    time: now + request.service.raw(),
-                    seq,
-                    kind: EventKind::Free(cluster),
-                });
+                frees.push(Reverse((now + request.service.raw(), seq, cluster)));
                 seq += 1;
             }
         }

@@ -16,11 +16,15 @@
 //! counts bit for bit. A second table pins the timed engine itself — host
 //! traffic + 4 clusters + batched PTW.
 
+use sva_common::ArrivalMix;
+use sva_host::serving::DispatchPolicy;
 use sva_host::HostTrafficConfig;
 use sva_kernels::KernelKind;
 use sva_soc::config::PlatformConfig;
+use sva_soc::experiments::serving as sweep;
 use sva_soc::offload::OffloadRunner;
 use sva_soc::platform::Platform;
+use sva_soc::serving::{run, ServingConfig};
 
 const GOLDEN_SEED: u64 = 0x601D;
 const GOLDEN_LATENCY: u64 = 200;
@@ -99,6 +103,98 @@ const DEMAND_GOLDEN: &[(KernelKind, u64, u64)] = &[
 /// loop — is deterministic, so these must hold bit for bit.
 const SERVING_GOLDEN: (u64, u64, u64, u64, u64, u64) = (350, 330, 20, 330, 321_536, 1_005_568);
 
+/// One pinned serving report of the smoke-grid shape (bursty arrivals,
+/// 1.2× utilization, quarter-length traces) under one dispatch policy.
+struct ServingPin {
+    policy: DispatchPolicy,
+    makespan: u64,
+    p999: u64,
+    queue_peak: usize,
+    queue_depth_samples: [usize; 32],
+    /// `(p50, p99, p999)` per tenant, in tenant-table order.
+    tenants: [(u64, u64, u64); 3],
+}
+
+/// Every dispatch policy's whole serving report, beyond the counts
+/// [`SERVING_GOLDEN`] pins: makespan, tail, the waiting-queue peak and
+/// depth timeline, and each tenant's percentiles. Under `Priority` the
+/// queue peak and samples depend on the order the event loop dispatches
+/// in, so any reordering of equal-time events shows up here.
+const SERVING_POLICY_GOLDEN: [ServingPin; 4] = [
+    ServingPin {
+        policy: DispatchPolicy::StaticSharding,
+        makespan: 14_829_431,
+        p999: 2_648_064,
+        queue_peak: 32,
+        queue_depth_samples: [
+            0, 12, 14, 16, 27, 32, 28, 25, 32, 32, 26, 26, 31, 22, 31, 28, 15, 7, 26, 18, 12, 11,
+            7, 9, 4, 9, 6, 15, 12, 9, 6, 3,
+        ],
+        tenants: [
+            (1_124_352, 1_700_864, 1_700_864),
+            (1_179_648, 2_189_312, 2_189_312),
+            (1_092_608, 2_648_064, 2_648_064),
+        ],
+    },
+    ServingPin {
+        policy: DispatchPolicy::Fcfs,
+        makespan: 12_701_965,
+        p999: 1_058_816,
+        queue_peak: 32,
+        queue_depth_samples: [
+            0, 0, 8, 4, 0, 4, 12, 12, 4, 12, 6, 23, 28, 23, 32, 16, 11, 8, 6, 0, 0, 16, 0, 0, 0, 0,
+            0, 4, 0, 3, 0, 4,
+        ],
+        tenants: [
+            (267_264, 1_005_568, 1_010_688),
+            (313_344, 558_080, 562_176),
+            (425_984, 1_058_816, 1_058_816),
+        ],
+    },
+    ServingPin {
+        policy: DispatchPolicy::ShortestQueue,
+        makespan: 12_721_885,
+        p999: 1_068_032,
+        queue_peak: 32,
+        queue_depth_samples: [
+            0, 0, 8, 5, 0, 4, 12, 14, 6, 12, 7, 21, 27, 22, 30, 16, 9, 7, 4, 0, 0, 15, 0, 0, 0, 0,
+            0, 4, 0, 4, 0, 4,
+        ],
+        tenants: [
+            (291_840, 1_019_904, 1_068_032),
+            (308_224, 575_488, 596_992),
+            (425_984, 1_064_960, 1_064_960),
+        ],
+    },
+    ServingPin {
+        policy: DispatchPolicy::Priority,
+        makespan: 12_701_965,
+        p999: 1_483_776,
+        queue_peak: 32,
+        queue_depth_samples: [
+            0, 0, 8, 4, 0, 4, 12, 11, 5, 12, 6, 23, 24, 16, 28, 12, 9, 10, 4, 0, 0, 16, 0, 0, 0, 0,
+            0, 4, 0, 3, 0, 4,
+        ],
+        tenants: [
+            (191_488, 599_040, 600_064),
+            (194_560, 562_176, 1_360_896),
+            (623_616, 1_483_776, 1_483_776),
+        ],
+    },
+];
+
+/// The smoke-grid serving configuration (bursty, 1.2×, quarter-length
+/// traces) under `policy`.
+fn smoke_serving_config(policy: DispatchPolicy) -> ServingConfig {
+    let mut config = ServingConfig::small(4, policy, ArrivalMix::Bursty);
+    config.utilization = 1.2;
+    config.seed = sweep::SERVING_SEED;
+    for tenant in &mut config.tenants {
+        tenant.requests /= 4;
+    }
+    config
+}
+
 fn golden_config(clusters: usize) -> PlatformConfig {
     PlatformConfig::iommu_with_llc(GOLDEN_LATENCY)
         .with_clusters(clusters)
@@ -161,6 +257,43 @@ fn pinned_serving_point_holds() {
         measured, SERVING_GOLDEN,
         "serving golden drifted (offered, admitted, rejected, completed, p50, p99)"
     );
+}
+
+#[test]
+fn pinned_serving_reports_hold_for_every_policy() {
+    let services = sweep::calibrate().expect("service calibration");
+    for pin in &SERVING_POLICY_GOLDEN {
+        let report = run(&smoke_serving_config(pin.policy), &services);
+        assert!(
+            report.conserved(),
+            "{:?}: conservation violated",
+            pin.policy
+        );
+        let tenants: Vec<(u64, u64, u64)> = report
+            .tenants
+            .iter()
+            .map(|t| (t.latency.p50, t.latency.p99, t.latency.p999))
+            .collect();
+        assert_eq!(
+            (
+                report.makespan,
+                report.latency.p999,
+                report.queue_peak,
+                report.queue_depth_samples.as_slice(),
+                tenants.as_slice(),
+            ),
+            (
+                pin.makespan,
+                pin.p999,
+                pin.queue_peak,
+                pin.queue_depth_samples.as_slice(),
+                pin.tenants.as_slice(),
+            ),
+            "{:?}: serving report drifted (makespan, p999, queue peak, depth samples, tenant \
+             p50/p99/p999)",
+            pin.policy
+        );
+    }
 }
 
 /// The explicit baseline fabric — one DRAM channel, round-robin arbitration
