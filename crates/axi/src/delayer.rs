@@ -9,46 +9,25 @@
 //! variable of every experiment in the evaluation, and this module is its
 //! direct software counterpart.
 //!
-//! The delayer's FIFO macroblocks are the same structure the live fabric
-//! models as its per-channel **response queues**: both are
-//! [`sva_common::TimedQueue`]s — intervals of in-flight responses on the
-//! global clock. The delayer's FIFO is unbounded (the FPGA block is sized to
-//! never back-pressure) but *recording*, so its in-flight occupancy is
-//! observable ([`AxiDelayer::in_flight_at`]); the fabric's response queues
-//! are the bounded instantiation of the same primitive, where a full queue
-//! delays grants (see `sva_mem::fabric`). Keeping both on one type is what
-//! stops this crate's FIFO model from drifting from the fabric's.
+//! Only the latency the FIFOs add is modelled: the FPGA block is sized to
+//! never back-pressure, so its in-flight occupancy cannot change any timing.
+//! Finite queues that *do* delay grants are the memory fabric's per-channel
+//! request and response queues (see `sva_mem::fabric`).
 
 use serde::{Deserialize, Serialize};
 use sva_common::stats::Counter;
-use sva_common::{Cycles, TimedQueue};
+use sva_common::Cycles;
 
 use crate::txn::AccessKind;
 
 /// FIFO-based delay block inserted between the system crossbar and the DRAM
 /// controller.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AxiDelayer {
     delay: Cycles,
     reads_delayed: Counter,
     writes_delayed: Counter,
-    /// The in-flight response windows held by the delay FIFO, on the global
-    /// clock; cleared per measurement window. Observability state, not
-    /// configuration (excluded from the equality relation below).
-    fifo: TimedQueue,
 }
-
-impl PartialEq for AxiDelayer {
-    fn eq(&self, other: &Self) -> bool {
-        // Configuration + counters identity; the FIFO occupancy record is
-        // derived observability state, not configuration.
-        self.delay == other.delay
-            && self.reads_delayed == other.reads_delayed
-            && self.writes_delayed == other.writes_delayed
-    }
-}
-
-impl Eq for AxiDelayer {}
 
 impl AxiDelayer {
     /// Creates a delayer adding `delay` cycles to every DRAM response.
@@ -57,7 +36,6 @@ impl AxiDelayer {
             delay,
             reads_delayed: Counter::new(),
             writes_delayed: Counter::new(),
-            fifo: TimedQueue::unbounded_recording(),
         }
     }
 
@@ -91,53 +69,6 @@ impl AxiDelayer {
         self.delay
     }
 
-    /// Records one response held by the delay FIFO over `[start, start +
-    /// span)` on the global clock. The memory system calls this for every
-    /// timed access **when the fabric's split-transaction queues are
-    /// bounded** (the unbounded default records nothing — no consumer, no
-    /// cost), so in those configurations the FIFO's in-flight occupancy is
-    /// a live measured quantity rather than a fiction of the latency
-    /// formula.
-    pub fn note_response(&mut self, start: Cycles, span: Cycles) {
-        self.fifo.push(start.raw(), start.raw() + span.raw().max(1));
-    }
-
-    /// Number of responses in flight inside the delay FIFO at `t`.
-    pub fn in_flight_at(&self, t: Cycles) -> usize {
-        self.fifo.occupancy_at(t.raw())
-    }
-
-    /// Responses recorded in the FIFO since the last window/statistics
-    /// reset.
-    pub fn responses_recorded(&self) -> u64 {
-        self.fifo.admissions()
-    }
-
-    /// Peak number of simultaneously in-flight responses observed.
-    pub fn peak_in_flight(&self) -> usize {
-        self.fifo.peak()
-    }
-
-    /// Folds FIFO history before `t` into a base constant (see
-    /// [`TimedQueue::compact_before`]). The caller guarantees no response
-    /// will be noted — and no occupancy queried — before `t`; long
-    /// open-loop runs call this periodically so the FIFO record stays
-    /// bounded.
-    pub fn compact_window_before(&mut self, t: Cycles) {
-        self.fifo.compact_before(t.raw());
-    }
-
-    /// Boundary events currently held by the FIFO's occupancy index.
-    pub fn recorded_events(&self) -> usize {
-        self.fifo.event_count()
-    }
-
-    /// Drops the recorded response windows (a new measurement window opens;
-    /// arrivals restart from zero on the global clock).
-    pub fn clear_window(&mut self) {
-        self.fifo.clear_entries();
-    }
-
     /// Number of read transactions that went through the delayer.
     pub fn reads_delayed(&self) -> u64 {
         self.reads_delayed.get()
@@ -152,7 +83,6 @@ impl AxiDelayer {
     pub fn reset_stats(&mut self) {
         self.reads_delayed.reset();
         self.writes_delayed.reset();
-        self.fifo.reset();
     }
 }
 
@@ -192,44 +122,5 @@ mod tests {
         d.reset_stats();
         assert_eq!(d.reads_delayed(), 0);
         assert_eq!(d.delay(), Cycles::new(1000));
-    }
-
-    #[test]
-    fn response_fifo_tracks_in_flight_windows() {
-        let mut d = AxiDelayer::new(Cycles::new(200));
-        d.note_response(Cycles::new(0), Cycles::new(235));
-        d.note_response(Cycles::new(100), Cycles::new(235));
-        assert_eq!(d.in_flight_at(Cycles::new(150)), 2);
-        assert_eq!(d.in_flight_at(Cycles::new(300)), 1);
-        assert_eq!(d.in_flight_at(Cycles::new(400)), 0);
-        assert_eq!(d.responses_recorded(), 2);
-        d.clear_window();
-        assert_eq!(d.in_flight_at(Cycles::new(150)), 0);
-        assert_eq!(
-            d.responses_recorded(),
-            2,
-            "window clear keeps the statistic"
-        );
-        d.reset_stats();
-        assert_eq!(d.responses_recorded(), 0);
-    }
-
-    #[test]
-    fn window_compaction_bounds_the_fifo_record() {
-        let mut d = AxiDelayer::new(Cycles::new(200));
-        for i in 0..100u64 {
-            d.note_response(Cycles::new(i * 10), Cycles::new(235));
-        }
-        let before = d.recorded_events();
-        assert_eq!(d.peak_in_flight(), 24);
-        // History before 800 folds away; responses straddling the watermark
-        // keep answering occupancy queries exactly as before.
-        let at_watermark = d.in_flight_at(Cycles::new(800));
-        d.compact_window_before(Cycles::new(800));
-        assert!(d.recorded_events() < before);
-        assert_eq!(d.in_flight_at(Cycles::new(800)), at_watermark);
-        assert_eq!(d.responses_recorded(), 100, "statistics survive");
-        d.note_response(Cycles::new(6_000), Cycles::new(235));
-        assert_eq!(d.in_flight_at(Cycles::new(6_100)), 1);
     }
 }

@@ -25,15 +25,18 @@
 //! boundary)`. Queries become O(log n) range walks from the query point:
 //!
 //! * [`TimedQueue::occupancy_at`] is one floor lookup;
-//! * [`TimedQueue::admission_at`] walks boundaries forward from the arrival
-//!   until the level drops below the depth (occupancy only changes at a
-//!   boundary, so the admission point is the arrival itself or a boundary);
-//! * [`TimedQueue::push`] finds its admission point with a single combined
-//!   query, which also yields the level holding there, and splices the new
-//!   interval in with one walk over the boundaries it covers plus at most
-//!   two endpoint probes (the exit boundary, and the enter boundary when it
-//!   is new) — O(log n + overlap), where the overlap is bounded by the
-//!   queue's depth for bounded queues rather than by history length.
+//! * [`TimedQueue::admit_at`] is at most one descent: an arrival at or past
+//!   the latest exit answers without touching the index, anything earlier
+//!   walks boundaries forward from the arrival until the level drops below
+//!   the depth (occupancy only changes at a boundary, so the admission
+//!   point is the arrival itself or a boundary), reading the level at the
+//!   arrival off the first boundary after it;
+//! * [`TimedQueue::record_at`] splices an admitted interval in with one walk
+//!   over the boundaries it covers plus at most two endpoint probes (the
+//!   exit boundary, and the enter boundary when it is new) — O(log n +
+//!   overlap), where the overlap is bounded by the queue's depth for
+//!   bounded queues rather than by history length. [`TimedQueue::push`] is
+//!   the two halves back to back.
 //!
 //! **Watermark compaction** ([`TimedQueue::compact_before`]) keeps memory
 //! bounded inside a measurement window: when the caller can guarantee no
@@ -54,9 +57,12 @@
 //! acting on its behalf) must **acquire** a credit for every request it
 //! issues — [`CreditPort::acquire`] returns the grant time (arrival plus any
 //! full-queue stall) and records the entry; the credit is implicitly
-//! released at the entry's exit time. Because clones share the queue,
-//! handing a port to an initiator and keeping one inside the fabric gives
-//! both the same view of the channel's backlog. Cloning a *simulation*
+//! released at the entry's exit time. A caller that has already queried
+//! the admission point ([`CreditPort::admit_at`]) records the credit there
+//! with [`CreditPort::record_at`] instead of paying for the query twice.
+//! Because clones share the queue, handing a port to an initiator and
+//! keeping one inside the fabric gives both the same view of the channel's
+//! backlog. Cloning a *simulation*
 //! (a whole platform) must therefore deep-copy the underlying queues —
 //! see `sva_mem::fabric`'s manual `Clone` — or two independent runs would
 //! consume each other's credits.
@@ -168,7 +174,7 @@ pub struct TimedQueue {
     /// (admission needs the history); unbounded queues default to not
     /// recording — they can never stall, so the bookkeeping would be pure
     /// overhead — unless built with [`TimedQueue::unbounded_recording`]
-    /// (an observable FIFO like the AXI delayer's response queue).
+    /// (an observable in-flight window like the PTW's or the PRI's).
     record: bool,
     /// The event index: boundary instant → (delta, occupancy level on the
     /// half-open span up to the next boundary).
@@ -229,17 +235,8 @@ impl TimedQueue {
         self.depth == usize::MAX
     }
 
-    /// The occupancy level holding at `t` (clamped to the watermark): one
-    /// floor lookup in the event index.
-    fn level_at(&self, t: u64) -> u32 {
-        let t = t.max(self.watermark);
-        match self.timeline.range(..=t).next_back() {
-            Some((_, b)) => b.occ,
-            None => self.base,
-        }
-    }
-
-    /// Number of recorded intervals covering `t`.
+    /// Number of recorded intervals covering `t`: one floor lookup in the
+    /// event index.
     ///
     /// Queries below the compaction watermark read the folded base constant
     /// (the caller promised not to ask about compacted history).
@@ -247,27 +244,37 @@ impl TimedQueue {
         if !self.record {
             return 0;
         }
-        self.level_at(t) as usize
+        let t = t.max(self.watermark);
+        let level = self.timeline.range(..=t).next_back();
+        level.map_or(self.base, |(_, b)| b.occ) as usize
     }
 
     /// The combined covering query: the earliest instant at or after `t` at
     /// which a new entry can be admitted **and** the occupancy already
-    /// holding at that instant, found in one walk of the event index.
+    /// holding at that instant.
     ///
-    /// Occupancy only changes at a boundary, so the admission point is
-    /// either `t` itself or the first later boundary whose level is below
-    /// the depth; the walk reads the level as it goes instead of re-scanning
-    /// per candidate (the folded double scan `push` used to perform).
+    /// Costs at most one descent of the event index. At or past the latest
+    /// exit every interval has closed, so the answer is `(t, 0)` without a
+    /// lookup. Otherwise one forward range walk starts at the first boundary
+    /// after `t`: that boundary directly follows the one holding at `t`, so
+    /// the level at `t` is its level minus its delta. When that level is
+    /// full, the walk continues to the first boundary whose level is below
+    /// the depth (occupancy only changes at a boundary).
     pub fn admit_at(&self, t: u64) -> (u64, usize) {
         let t = t.max(self.watermark);
-        if self.is_unbounded() || t >= self.max_exit {
-            return (t, self.occupancy_at(t));
+        if t >= self.max_exit {
+            return (t, 0);
         }
-        let level = self.level_at(t);
+        let mut after = self.timeline.range((Excluded(t), Unbounded)).peekable();
+        // `t < max_exit` and `max_exit` is a retained boundary (it is past
+        // the watermark), so a boundary after `t` always exists.
+        let level = after
+            .peek()
+            .map_or(self.base, |(_, b)| (i64::from(b.occ) - b.delta) as u32);
         if (level as usize) < self.depth {
             return (t, level as usize);
         }
-        for (&at, b) in self.timeline.range((Excluded(t), Unbounded)) {
+        for (&at, b) in after {
             if (b.occ as usize) < self.depth {
                 return (at, b.occ as usize);
             }
@@ -322,27 +329,40 @@ impl TimedQueue {
         self.max_exit = self.max_exit.max(exit);
     }
 
-    /// Admits an entry arriving at `enter` that holds its slot until `exit`
-    /// (clamped to occupy at least one cycle past admission). Returns the
-    /// admission time and the occupancy including the new entry.
+    /// Records an entry admitted at `admitted` that holds its slot until
+    /// `exit` (clamped to occupy at least one cycle past admission) — the
+    /// bookkeeping half of [`TimedQueue::push`]. Returns the occupancy
+    /// including the new entry.
     ///
-    /// Costs the [`TimedQueue::admit_at`] query plus one splice: a walk of
-    /// the boundaries the entry covers and at most two endpoint probes.
-    pub fn push(&mut self, enter: u64, exit: u64) -> (u64, usize) {
-        let (admitted, level) = self.admit_at(enter);
-        self.stall_cycles += admitted - enter;
+    /// `(admitted, level)` must be exactly what [`TimedQueue::admit_at`]
+    /// returned, and the queue must not have changed since that query: the
+    /// splice trusts `level` as the occupancy holding at `admitted`. Costs
+    /// one walk of the boundaries the entry covers and at most two endpoint
+    /// probes.
+    pub fn record_at(&mut self, admitted: u64, level: usize, exit: u64) -> usize {
         self.admissions += 1;
         if !self.record {
             // Nothing can ever stall and nobody queries occupancy of a
             // non-recording unbounded queue: skip the bookkeeping entirely
             // so the default configuration costs nothing.
-            return (admitted, 0);
+            return 0;
         }
         let exit = exit.max(admitted + 1);
         self.insert(admitted, exit, level as u32);
         let occupancy = level + 1;
         self.peak = self.peak.max(occupancy);
-        (admitted, occupancy)
+        occupancy
+    }
+
+    /// Admits an entry arriving at `enter` that holds its slot until `exit`
+    /// (clamped to occupy at least one cycle past admission). Returns the
+    /// admission time and the occupancy including the new entry.
+    ///
+    /// [`TimedQueue::admit_at`] followed by [`TimedQueue::record_at`].
+    pub fn push(&mut self, enter: u64, exit: u64) -> (u64, usize) {
+        let (admitted, level) = self.admit_at(enter);
+        self.stall_cycles += admitted - enter;
+        (admitted, self.record_at(admitted, level, exit))
     }
 
     /// Folds every boundary event before `w` into the base-occupancy
@@ -791,6 +811,26 @@ impl CreditPort {
     /// (pure query; the credit is not consumed).
     pub fn admission_at(&self, t: Cycles) -> Cycles {
         Cycles::new(self.queue.borrow().admission_at(t.raw()))
+    }
+
+    /// The earliest instant at or after `t` at which a credit is available
+    /// and the number of credits in use there (see
+    /// [`TimedQueue::admit_at`]). Pure query; pass the answer to
+    /// [`CreditPort::record_at`] to consume the credit.
+    pub fn admit_at(&self, t: Cycles) -> (Cycles, usize) {
+        let (admitted, level) = self.queue.borrow().admit_at(t.raw());
+        (Cycles::new(admitted), level)
+    }
+
+    /// Consumes a credit at the admission point `(admitted, level)` that
+    /// [`CreditPort::admit_at`] returned, held until `exit`. No handle may
+    /// touch the queue between the two calls (see
+    /// [`TimedQueue::record_at`]). Returns the occupancy including the new
+    /// entry.
+    pub fn record_at(&self, admitted: Cycles, level: usize, exit: Cycles) -> usize {
+        self.queue
+            .borrow_mut()
+            .record_at(admitted.raw(), level, exit.raw())
     }
 
     /// Acquires a credit for an entry arriving at `enter` and held until

@@ -13,6 +13,12 @@
 //! A second generator aims at the splice's edge cases: endpoints snapped
 //! onto boundaries that already exist, pushes exactly at the compaction
 //! watermark, and stall-admitted pushes on shallow queues.
+//!
+//! The fused path the fabric uses — [`TimedQueue::admit_at`] for the
+//! admission point and its level, then [`TimedQueue::record_at`] with that
+//! same pair — runs through the same comparisons, and a wrapper that hands
+//! `record_at` a stale level (one queried before the previous record) must
+//! be caught.
 
 use std::collections::BTreeSet;
 
@@ -29,6 +35,10 @@ trait QueueModel {
     fn stall_cycles(&self) -> u64;
     fn admissions(&self) -> u64;
     fn validate(&self) {}
+    fn compact_before(&mut self, _w: u64) {}
+    fn compacted_events(&self) -> u64 {
+        0
+    }
 }
 
 impl QueueModel for TimedQueue {
@@ -53,6 +63,12 @@ impl QueueModel for TimedQueue {
     fn validate(&self) {
         self.debug_validate();
     }
+    fn compact_before(&mut self, w: u64) {
+        TimedQueue::compact_before(self, w);
+    }
+    fn compacted_events(&self) -> u64 {
+        TimedQueue::compacted_events(self)
+    }
 }
 
 impl QueueModel for NaiveTimedQueue {
@@ -73,6 +89,109 @@ impl QueueModel for NaiveTimedQueue {
     }
     fn admissions(&self) -> u64 {
         NaiveTimedQueue::admissions(self)
+    }
+}
+
+/// The indexed engine driven through its split halves: every push is an
+/// [`TimedQueue::admit_at`] query followed by a [`TimedQueue::record_at`]
+/// at exactly the admission point and level it returned. Every admission
+/// probe also checks that the level `admit_at` reports is the occupancy
+/// holding at the admitted instant. `record_at` never sees the arrival, so
+/// the model keeps the stall sum the reference accumulates.
+struct FusedQueue {
+    queue: TimedQueue,
+    stall_cycles: u64,
+}
+
+impl FusedQueue {
+    fn new(queue: TimedQueue) -> Self {
+        Self {
+            queue,
+            stall_cycles: 0,
+        }
+    }
+}
+
+impl QueueModel for FusedQueue {
+    fn push(&mut self, enter: u64, exit: u64) -> (u64, usize) {
+        let (admitted, level) = self.queue.admit_at(enter);
+        self.stall_cycles += admitted - enter;
+        (admitted, self.queue.record_at(admitted, level, exit))
+    }
+    fn occupancy_at(&self, t: u64) -> usize {
+        self.queue.occupancy_at(t)
+    }
+    fn admission_at(&self, t: u64) -> u64 {
+        let (admitted, level) = self.queue.admit_at(t);
+        assert_eq!(
+            level,
+            self.queue.occupancy_at(admitted),
+            "admit_at({t}) level disagrees with occupancy_at({admitted})"
+        );
+        admitted
+    }
+    fn peak(&self) -> usize {
+        self.queue.peak()
+    }
+    fn stall_cycles(&self) -> u64 {
+        self.stall_cycles
+    }
+    fn admissions(&self) -> u64 {
+        self.queue.admissions()
+    }
+    fn validate(&self) {
+        self.queue.debug_validate();
+    }
+    fn compact_before(&mut self, w: u64) {
+        self.queue.compact_before(w);
+    }
+    fn compacted_events(&self) -> u64 {
+        self.queue.compacted_events()
+    }
+}
+
+/// The fused path with a stale level: `record_at` is handed the occupancy
+/// the admitted instant had *before the previous record* (read from a copy
+/// of the queue taken just ahead of it) instead of the level `admit_at`
+/// just found. The suite must flag this as divergent from the reference.
+struct StaleLevelQueue {
+    queue: TimedQueue,
+    before_last_record: TimedQueue,
+    stall_cycles: u64,
+}
+
+impl StaleLevelQueue {
+    fn new(depth: usize) -> Self {
+        Self {
+            queue: TimedQueue::new(depth),
+            before_last_record: TimedQueue::new(depth),
+            stall_cycles: 0,
+        }
+    }
+}
+
+impl QueueModel for StaleLevelQueue {
+    fn push(&mut self, enter: u64, exit: u64) -> (u64, usize) {
+        let (admitted, _) = self.queue.admit_at(enter);
+        let stale = self.before_last_record.occupancy_at(admitted);
+        self.before_last_record = self.queue.clone();
+        self.stall_cycles += admitted - enter;
+        (admitted, self.queue.record_at(admitted, stale, exit))
+    }
+    fn occupancy_at(&self, t: u64) -> usize {
+        self.queue.occupancy_at(t)
+    }
+    fn admission_at(&self, t: u64) -> u64 {
+        self.queue.admission_at(t)
+    }
+    fn peak(&self) -> usize {
+        self.queue.peak()
+    }
+    fn stall_cycles(&self) -> u64 {
+        self.stall_cycles
+    }
+    fn admissions(&self) -> u64 {
+        self.queue.admissions()
     }
 }
 
@@ -396,58 +515,170 @@ fn shallow_queues_admit_late_on_both_generators() {
     }
 }
 
+/// Open-loop rounds: compact at the round's first arrival, push exactly at
+/// the watermark, then pushes whose endpoints snap onto the round's earlier
+/// instants. The reference never compacts; every push result and every
+/// probe at or past the watermark must agree.
+fn assert_watermark_rounds_match(
+    indexed: &mut dyn QueueModel,
+    depth: usize,
+    rng: &mut DeterministicRng,
+) {
+    let mut naive = NaiveTimedQueue::new(depth);
+    let mut watermark = 0u64;
+    for round in 0..60 {
+        indexed.compact_before(watermark);
+        let mut points = vec![watermark];
+        for i in 0..12 {
+            let enter = if i == 0 {
+                watermark
+            } else {
+                points[rng.next_below(points.len() as u64) as usize]
+            };
+            let exit = if rng.next_below(2) == 0 {
+                points[rng.next_below(points.len() as u64) as usize].max(enter + 1)
+            } else {
+                enter + 1 + rng.next_below(90)
+            };
+            let got = indexed.push(enter, exit);
+            assert_eq!(
+                got,
+                naive.push(enter, exit),
+                "depth {depth}, round {round}: push [{enter}, {exit}) at watermark {watermark}"
+            );
+            points.extend([got.0, exit]);
+            indexed.validate();
+        }
+        for t in points.iter().flat_map(|&p| [p, p + 1]) {
+            assert_eq!(
+                indexed.occupancy_at(t),
+                naive.occupancy_at(t),
+                "occupancy_at({t})"
+            );
+            assert_eq!(
+                indexed.admission_at(t),
+                naive.admission_at(t),
+                "admission_at({t})"
+            );
+        }
+        watermark += 1 + rng.next_below(60);
+    }
+    assert!(indexed.compacted_events() > 0, "compaction never fired");
+    assert_eq!(indexed.stall_cycles(), naive.stall_cycles());
+    assert_eq!(indexed.peak(), naive.peak());
+}
+
 #[test]
 fn pushes_at_the_compaction_watermark_match_the_naive_reference() {
-    // Open-loop rounds: compact at the round's first arrival, push exactly
-    // at the watermark, then pushes whose endpoints snap onto the round's
-    // earlier instants. The reference never compacts; every push result and
-    // every probe at or past the watermark must agree.
     let mut rng = DeterministicRng::new(0x71ED_0006);
     for depth in [1usize, 2, 3, 4, 8] {
-        let mut indexed = TimedQueue::new(depth);
-        let mut naive = NaiveTimedQueue::new(depth);
-        let mut watermark = 0u64;
-        for round in 0..60 {
-            indexed.compact_before(watermark);
-            let mut points = vec![watermark];
-            for i in 0..12 {
-                let enter = if i == 0 {
-                    watermark
-                } else {
-                    points[rng.next_below(points.len() as u64) as usize]
-                };
-                let exit = if rng.next_below(2) == 0 {
-                    points[rng.next_below(points.len() as u64) as usize].max(enter + 1)
-                } else {
-                    enter + 1 + rng.next_below(90)
-                };
-                let got = indexed.push(enter, exit);
-                assert_eq!(
-                    got,
-                    naive.push(enter, exit),
-                    "depth {depth}, round {round}: push [{enter}, {exit}) at watermark {watermark}"
-                );
-                points.extend([got.0, exit]);
-                indexed.debug_validate();
-            }
-            for t in points.iter().flat_map(|&p| [p, p + 1]) {
-                assert_eq!(
-                    indexed.occupancy_at(t),
-                    naive.occupancy_at(t),
-                    "occupancy_at({t})"
-                );
-                assert_eq!(
-                    indexed.admission_at(t),
-                    naive.admission_at(t),
-                    "admission_at({t})"
-                );
-            }
-            watermark += 1 + rng.next_below(60);
-        }
-        assert!(indexed.compacted_events() > 0, "compaction never fired");
-        assert_eq!(indexed.stall_cycles(), naive.stall_cycles());
-        assert_eq!(indexed.peak(), naive.peak());
+        assert_watermark_rounds_match(&mut TimedQueue::new(depth), depth, &mut rng);
     }
+}
+
+#[test]
+fn fused_admit_and_record_match_the_naive_reference_on_both_generators() {
+    let mut rng = DeterministicRng::new(0x71ED_0008);
+    for round in 0..40 {
+        let pushes = 60 + rng.next_below(140) as usize;
+        for snapped in [false, true] {
+            let batch = if snapped {
+                generate_snapped_batch(&mut rng, pushes)
+            } else {
+                generate_batch(&mut rng, pushes)
+            };
+            for depth in DEPTHS {
+                let (indexed, mut naive) = build_pair(depth);
+                let mut fused = FusedQueue::new(indexed);
+                let mut probe_rng = DeterministicRng::new(0xD000 + round);
+                if let Some(err) = compare_on_batch(&mut fused, &mut naive, &batch, &mut probe_rng)
+                {
+                    panic!("round {round}, snapped {snapped}, depth {depth:?}: {err}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_pushes_at_the_compaction_watermark_match_the_naive_reference() {
+    let mut rng = DeterministicRng::new(0x71ED_0009);
+    for depth in [1usize, 2, 3, 4, 8] {
+        let mut fused = FusedQueue::new(TimedQueue::new(depth));
+        assert_watermark_rounds_match(&mut fused, depth, &mut rng);
+    }
+}
+
+#[test]
+fn compaction_past_the_latest_exit_then_pushes_match_the_naive_reference() {
+    // Each round ends with a watermark strictly past every recorded exit:
+    // the whole index folds away, `admit_at` answers from its `max_exit`
+    // shortcut, and the next round's pushes start from the folded state.
+    let mut rng = DeterministicRng::new(0x71ED_000A);
+    for depth in [1usize, 2, 4] {
+        let mut plain = TimedQueue::new(depth);
+        let mut fused = FusedQueue::new(TimedQueue::new(depth));
+        let mut naive = NaiveTimedQueue::new(depth);
+        let mut cursor = 0u64;
+        for round in 0..30 {
+            let mut last_exit = cursor;
+            for _ in 0..10 {
+                let enter = cursor + rng.next_below(50);
+                let exit = enter + rng.next_below(80);
+                let want = naive.push(enter, exit);
+                assert_eq!(
+                    plain.push(enter, exit),
+                    want,
+                    "depth {depth}, round {round}"
+                );
+                assert_eq!(
+                    fused.push(enter, exit),
+                    want,
+                    "depth {depth}, round {round}"
+                );
+                last_exit = last_exit.max(exit.max(want.0 + 1));
+            }
+            let w = last_exit + 1 + rng.next_below(30);
+            plain.compact_before(w);
+            fused.compact_before(w);
+            assert_eq!(
+                plain.event_count(),
+                0,
+                "nothing straddles w past every exit"
+            );
+            assert_eq!(fused.queue.event_count(), 0);
+            assert_eq!(plain.admit_at(w), (w, 0));
+            assert_eq!(fused.queue.admit_at(w), (w, 0));
+            plain.debug_validate();
+            fused.validate();
+            cursor = w;
+        }
+        assert_eq!(plain.stall_cycles(), naive.stall_cycles());
+        assert_eq!(fused.stall_cycles(), naive.stall_cycles());
+        assert_eq!(plain.peak(), naive.peak());
+        assert_eq!(fused.peak(), naive.peak());
+    }
+}
+
+#[test]
+fn suite_catches_a_record_at_handed_a_stale_level() {
+    let mut rng = DeterministicRng::new(0x71ED_000B);
+    let mut caught = 0;
+    for round in 0..10 {
+        let batch = generate_batch(&mut rng, 120);
+        for depth in [1usize, 2, 3, 4] {
+            let mut broken = StaleLevelQueue::new(depth);
+            let mut naive = NaiveTimedQueue::new(depth);
+            let mut probe_rng = DeterministicRng::new(0xE000 + round);
+            if compare_on_batch(&mut broken, &mut naive, &batch, &mut probe_rng).is_some() {
+                caught += 1;
+            }
+        }
+    }
+    assert!(
+        caught > 0,
+        "a record at a stale level must be observable on at least one batch"
+    );
 }
 
 #[test]

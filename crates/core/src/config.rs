@@ -208,11 +208,11 @@ impl PlatformConfig {
     }
 
     /// Returns a copy whose DRAM backend is split into `n` page-interleaved
-    /// channels (clamped to at least one; `n = 1` is the paper's single
-    /// shared data path).
+    /// channels (`n = 1` is the paper's single shared data path; `n = 0` is
+    /// rejected by [`crate::Platform::new`]).
     pub fn with_memory_channels(mut self, n: usize) -> Self {
         self.mem.fabric.channels = DramChannelConfig {
-            num_channels: n.max(1),
+            num_channels: n,
             ..self.mem.fabric.channels
         };
         self
@@ -232,16 +232,15 @@ impl PlatformConfig {
     }
 
     /// Returns a copy whose DRAM channels carry **finite request/response
-    /// queues** of the given depths (clamped to at least one slot each):
-    /// the split-transaction fabric. A full request queue stalls initiator
-    /// issue (credit-based backpressure, reported as
-    /// `issue_stall_cycles`); a full response queue delays grants. The
-    /// default `usize::MAX` depths are cycle-identical to the pure
-    /// reservation model.
+    /// queues** of the given depths: the split-transaction fabric. A full
+    /// request queue stalls initiator issue (credit-based backpressure,
+    /// reported as `issue_stall_cycles`); a full response queue delays
+    /// grants. The default `usize::MAX` depths are cycle-identical to the
+    /// pure reservation model; a depth of 0 is rejected by
+    /// [`crate::Platform::new`].
     pub fn with_channel_depths(mut self, req: usize, rsp: usize) -> Self {
-        let depths = QueueDepths::bounded(req, rsp);
-        self.mem.fabric.req_queue_depth = depths.req;
-        self.mem.fabric.rsp_queue_depth = depths.rsp;
+        self.mem.fabric.req_queue_depth = req;
+        self.mem.fabric.rsp_queue_depth = rsp;
         self
     }
 
@@ -339,8 +338,10 @@ impl PlatformConfig {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] for a zero-entry IOTLB
-    /// (`iommu.iotlb_entries`) or a DMA engine allowed no outstanding
-    /// bursts (`cluster.dma.max_outstanding`).
+    /// (`iommu.iotlb_entries`), a DMA engine allowed no outstanding
+    /// bursts (`cluster.dma.max_outstanding`), a zero-slot fabric queue
+    /// (`mem.fabric.req_queue_depth` / `mem.fabric.rsp_queue_depth`) or a
+    /// DRAM backend without channels (`mem.fabric.channels.num_channels`).
     pub(crate) fn validate(&self) -> Result<()> {
         let reject = |reason: &str| {
             Err(Error::InvalidConfig {
@@ -352,6 +353,17 @@ impl PlatformConfig {
         }
         if self.cluster.dma.max_outstanding == 0 {
             return reject("cluster.dma.max_outstanding (with_dma_outstanding) must be at least 1");
+        }
+        if self.mem.fabric.req_queue_depth == 0 {
+            return reject("mem.fabric.req_queue_depth (with_channel_depths) must be at least 1");
+        }
+        if self.mem.fabric.rsp_queue_depth == 0 {
+            return reject("mem.fabric.rsp_queue_depth (with_channel_depths) must be at least 1");
+        }
+        if self.mem.fabric.channels.num_channels == 0 {
+            return reject(
+                "mem.fabric.channels.num_channels (with_memory_channels) must be at least 1",
+            );
         }
         Ok(())
     }

@@ -98,7 +98,8 @@ impl Platform {
     /// # Errors
     ///
     /// Returns [`sva_common::Error::InvalidConfig`], naming the knob, for a
-    /// zero-entry IOTLB or a DMA engine allowed no outstanding bursts, and
+    /// zero-entry IOTLB, a DMA engine allowed no outstanding bursts, a
+    /// zero-slot fabric queue or a DRAM backend without channels, and
     /// allocation failures while setting up the address space or the IOMMU
     /// structures.
     pub fn new(config: PlatformConfig) -> Result<Self> {
@@ -211,6 +212,27 @@ mod tests {
     fn zero_outstanding_dma_is_rejected_by_name() {
         let reason = rejected_knob(PlatformConfig::iommu_with_llc(200).with_dma_outstanding(0));
         assert!(reason.contains("max_outstanding"), "{reason}");
+    }
+
+    #[test]
+    fn zero_request_queue_depth_is_rejected_by_name() {
+        let reason = rejected_knob(PlatformConfig::iommu_with_llc(200).with_channel_depths(0, 4));
+        assert!(reason.contains("mem.fabric.req_queue_depth"), "{reason}");
+    }
+
+    #[test]
+    fn zero_response_queue_depth_is_rejected_by_name() {
+        let reason = rejected_knob(PlatformConfig::iommu_with_llc(200).with_channel_depths(4, 0));
+        assert!(reason.contains("mem.fabric.rsp_queue_depth"), "{reason}");
+    }
+
+    #[test]
+    fn zero_memory_channels_are_rejected_by_name() {
+        let reason = rejected_knob(PlatformConfig::iommu_with_llc(200).with_memory_channels(0));
+        assert!(
+            reason.contains("mem.fabric.channels.num_channels"),
+            "{reason}"
+        );
     }
 
     #[test]

@@ -115,22 +115,9 @@ impl Dram {
         }
     }
 
-    /// The delayer block (its response-FIFO occupancy is observable through
-    /// [`AxiDelayer::in_flight_at`]).
+    /// The delayer block.
     pub const fn delayer(&self) -> &AxiDelayer {
         &self.delayer
-    }
-
-    /// Records one response window `[start, start + span)` held by the
-    /// delayer's FIFO on the global clock (called by the memory system for
-    /// every timed access).
-    pub fn note_response_window(&mut self, start: Cycles, span: Cycles) {
-        self.delayer.note_response(start, span);
-    }
-
-    /// Drops the recorded response windows (a new measurement window opens).
-    pub fn clear_response_window(&mut self) {
-        self.delayer.clear_window();
     }
 
     /// Number of accesses served.

@@ -87,6 +87,14 @@
 //! bit-identical to the pure interval-reservation model (the golden tests
 //! pin this identity).
 //!
+//! With bounded queues, the grant path queries each queue's admission point
+//! once ([`CreditPort::admit_at`]) and records the credit at exactly that
+//! point ([`CreditPort::record_at`]): the request credit at the admission
+//! found from the arrival, the response credit at the final placement the
+//! loop settled on. The retained [`crate::NaiveFabric`] acquires through
+//! [`CreditPort::acquire`], which repeats each query, and the
+//! `fabric_identity` suite pins the two together.
+//!
 //! # Host and PTW traffic on the timeline
 //!
 //! Host loads/stores and page-table-walk reads are placed on the channel
@@ -507,11 +515,14 @@ impl Fabric {
             && (req.initiator.class() == InitiatorClass::Device || self.config.timed_host_ptw);
 
         // Request-queue credit: a full request FIFO delays admission; the
-        // delay is the initiator's issue stall (upstream backpressure).
-        let admitted = if participates {
-            self.channels[channel].req.admission_at(req.arrival).raw()
+        // delay is the initiator's issue stall (upstream backpressure). The
+        // level found there is kept so the credit is recorded without a
+        // second query (nothing touches this queue before the record).
+        let (admitted, req_level) = if participates {
+            let (at, level) = self.channels[channel].req.admit_at(req.arrival);
+            (at.raw(), level)
         } else {
-            arrival
+            (arrival, 0)
         };
         let issue_stall = admitted - arrival;
 
@@ -525,6 +536,7 @@ impl Fabric {
         // priorities cannot defeat the configured service split. Even a
         // priority winner needs a free response-queue slot.
         let mut placed = admitted;
+        let mut rsp_level = 0;
         let wins_outright =
             req.priority > 0 && matches!(self.config.policy, ArbitrationPolicy::RoundRobin);
         loop {
@@ -550,14 +562,12 @@ impl Fabric {
             if participates {
                 // Split transaction: the grant is only served once a
                 // response-queue slot is free for its completion.
-                let rsp_free = self.channels[channel]
-                    .rsp
-                    .admission_at(Cycles::new(placed))
-                    .raw();
-                if rsp_free > placed {
-                    placed = rsp_free;
+                let (rsp_free, level) = self.channels[channel].rsp.admit_at(Cycles::new(placed));
+                if rsp_free.raw() > placed {
+                    placed = rsp_free.raw();
                     continue;
                 }
+                rsp_level = level;
             }
             break;
         }
@@ -570,16 +580,21 @@ impl Fabric {
             self.channels[channel].stats.queue_cycles += queue.raw();
         }
         if participates {
-            // Consume the credits: the request occupies its queue slot from
-            // admission until bus service starts, the completion occupies a
-            // response slot until the initiator retires it.
-            let (_, req_occ) = self.channels[channel]
-                .req
-                .acquire(Cycles::new(admitted), Cycles::new(placed));
+            // Consume the credits at the admission points found above: the
+            // request occupies its queue slot from admission until bus
+            // service starts, the completion occupies a response slot until
+            // the initiator retires it.
+            let req_occ = self.channels[channel].req.record_at(
+                Cycles::new(admitted),
+                req_level,
+                Cycles::new(placed),
+            );
             let retire = placed + occupancy + timing.latency.raw();
-            let (_, rsp_occ) = self.channels[channel]
-                .rsp
-                .acquire(Cycles::new(placed), Cycles::new(retire));
+            let rsp_occ = self.channels[channel].rsp.record_at(
+                Cycles::new(placed),
+                rsp_level,
+                Cycles::new(retire),
+            );
             let stats = &mut self.initiators[slot].1;
             stats.issue_stall_cycles += issue_stall;
             stats.req_queue_peak = stats.req_queue_peak.max(req_occ as u64);

@@ -277,7 +277,6 @@ impl MemorySystem {
     /// reservations stamped in the previous window.
     pub fn open_measurement_window(&mut self) {
         self.fabric.clear_timelines();
-        self.dram.clear_response_window();
         self.clock.restart();
     }
 
@@ -612,9 +611,6 @@ impl MemorySystem {
         let outcome = self.fabric.admit(&port, timing);
         let queue = outcome.queue;
         let stall = outcome.issue_stall;
-        // Service span of the access *excluding* fabric delays, captured
-        // before charging folds them into the latency.
-        let service_span = timing.total();
         // Charging rule: DMA queueing is charged whenever contention
         // charging is on (the PR 1/2 model); host and PTW queueing is only
         // charged when the global-clock engine additionally times those
@@ -629,18 +625,6 @@ impl MemorySystem {
             timing.latency += queue + stall;
         }
         self.fabric.note_latency(port.initiator, timing.latency);
-        // The delayer's response FIFO sees the completion window on the
-        // global clock: in flight from the start of service (arrival plus
-        // any stall and queueing) for the *uncharged* service span — the
-        // charged copy of the delays already moved the start, so using the
-        // charged latency here would double-count them. Recorded only when
-        // the split-transaction queues are live; the unbounded default has
-        // no consumer for the occupancy record and windows are not
-        // guaranteed to be opened (and cleared) by every flow.
-        if self.config.fabric.queues_bounded() {
-            self.dram
-                .note_response_window(port.arrival + stall + queue, service_span);
-        }
         // Completion on the global clock; when the delays were charged they
         // are already part of the latency.
         let completion =

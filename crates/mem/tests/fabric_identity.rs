@@ -9,7 +9,8 @@
 //!
 //! * all three arbitration policies (RoundRobin, Weighted with random
 //!   weights, FixedPriority),
-//! * unbounded and shallow bounded channel queue depths,
+//! * unbounded and bounded channel queue depths — 1/1 (always full), 2/3
+//!   and 4/4 (the depth the `contended_sva` benchmark runs),
 //! * request priorities 0..3 and mixed occupancies (including
 //!   zero-occupancy host/PTW probes),
 //! * out-of-order arrivals: per-cluster DMA shards restart their local
@@ -21,7 +22,9 @@
 //! watermark compaction is outcome-neutral under its contract.
 
 use sva_common::rng::DeterministicRng;
-use sva_common::{ArbitrationPolicy, Cycles, InitiatorId, MemPortReq, PhysAddr, PortTiming};
+use sva_common::{
+    ArbitrationPolicy, Cycles, InitiatorId, MemPortReq, PhysAddr, PortTiming, QueueDepths,
+};
 use sva_mem::channels::DramChannelConfig;
 use sva_mem::{Fabric, FabricConfig, GrantOutcome, NaiveFabric};
 
@@ -108,15 +111,38 @@ fn policies(rng: &mut DeterministicRng) -> Vec<ArbitrationPolicy> {
 }
 
 fn config(policy: ArbitrationPolicy, channels: usize, bounded: bool, timed: bool) -> FabricConfig {
+    let depths = if bounded {
+        QueueDepths::bounded(2, 3)
+    } else {
+        QueueDepths::UNBOUNDED
+    };
+    config_with_depths(policy, channels, depths, timed)
+}
+
+fn config_with_depths(
+    policy: ArbitrationPolicy,
+    channels: usize,
+    depths: QueueDepths,
+    timed: bool,
+) -> FabricConfig {
     FabricConfig {
         policy,
         channels: DramChannelConfig::interleaved(channels),
         timed_host_ptw: timed,
-        req_queue_depth: if bounded { 2 } else { usize::MAX },
-        rsp_queue_depth: if bounded { 3 } else { usize::MAX },
+        req_queue_depth: depths.req,
+        rsp_queue_depth: depths.rsp,
         ..FabricConfig::default()
     }
 }
+
+/// Queue depths the identity grid sweeps: unbounded, always full (1/1),
+/// asymmetric (2/3) and the benchmark's contended shape (4/4).
+const DEPTHS: [QueueDepths; 4] = [
+    QueueDepths::UNBOUNDED,
+    QueueDepths::bounded(1, 1),
+    QueueDepths::bounded(2, 3),
+    QueueDepths::bounded(4, 4),
+];
 
 /// Asserts the two engines agree on every grant and every observable
 /// statistic for `accesses`, returning the indexed outcomes.
@@ -161,7 +187,7 @@ fn assert_identical(config: FabricConfig, accesses: &[Access], label: &str) -> V
 }
 
 /// The core identity property: randomized workloads across
-/// {RoundRobin, Weighted, FixedPriority} × {unbounded, shallow} ×
+/// {RoundRobin, Weighted, FixedPriority} × {unbounded, 1/1, 2/3, 4/4} ×
 /// {untimed, timed host/PTW} × {1, 2, 4 channels}.
 #[test]
 fn indexed_placement_is_cycle_identical_to_the_naive_reference() {
@@ -170,13 +196,13 @@ fn indexed_placement_is_cycle_identical_to_the_naive_reference() {
         let accesses = workload(&mut rng, 300);
         for policy in policies(&mut rng) {
             for &channels in &[1usize, 2, 4] {
-                for &bounded in &[false, true] {
+                for depths in DEPTHS {
                     for &timed in &[false, true] {
                         let label = format!(
-                            "round {round}, {}, {channels}ch, bounded={bounded}, timed={timed}",
+                            "round {round}, {}, {channels}ch, depths={depths}, timed={timed}",
                             policy.label()
                         );
-                        let cfg = config(policy.clone(), channels, bounded, timed);
+                        let cfg = config_with_depths(policy.clone(), channels, depths, timed);
                         assert_identical(cfg, &accesses, &label);
                     }
                 }
