@@ -9,7 +9,6 @@
 //! cached window. The reserved upper half of DRAM (used for physically
 //! contiguous copy-based offload buffers) is likewise uncached.
 
-use serde::{Deserialize, Serialize};
 use sva_common::{Error, PhysAddr, Result, GIB, KIB, MIB};
 
 /// Base bus address of DRAM through the cached (LLC) path.
@@ -43,7 +42,7 @@ pub const IOMMU_REGS_BASE: u64 = 0x5100_0000;
 pub const IOMMU_REGS_SIZE: u64 = 4 * KIB;
 
 /// Classification of a decoded bus address.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum RegionKind {
     /// DRAM through the LLC (host and PTW traffic).
     DramCached,
@@ -70,7 +69,7 @@ impl RegionKind {
 }
 
 /// A named window in the bus address space.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Region {
     /// What the window decodes to.
     pub kind: RegionKind,
@@ -98,7 +97,7 @@ impl Region {
 }
 
 /// The result of decoding a bus address.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Decoded {
     /// Kind of the matched window.
     pub kind: RegionKind,
@@ -110,7 +109,7 @@ pub struct Decoded {
 
 /// The LLC demux/mux pair: translates between the cached and bypass DRAM
 /// windows.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct BypassRemap {
     offset: u64,
 }
@@ -152,7 +151,7 @@ impl Default for BypassRemap {
 }
 
 /// The full SoC address map.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AddressMap {
     regions: Vec<Region>,
     remap: BypassRemap,

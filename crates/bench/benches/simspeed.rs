@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks of the event-indexed occupancy-timeline
 //! engine: indexed vs linear-scan pushes on a deep bounded queue, the
 //! admission query on a standing backlog, watermark compaction, the
-//! fabric `admit` grant path (end-indexed placement vs the retained
-//! linear-scan `NaiveFabric`), the page-table walker's hot fetch path
-//! (indexed walk-table probe vs the retained full-table scan, on a walker
+//! fabric `admit` grant path (end-indexed placement vs the linear-scan
+//! `NaiveFabric`), the page-table walker's hot fetch path (indexed
+//! walk-table probe vs the `NaiveWalkTable` full-table scan, on a walker
 //! carrying thousands of accumulated walk records), and the backing
 //! store's hot single-frame typed accessors (direct-map + last-frame memo
 //! vs the retained hash-map engine).
@@ -13,15 +13,15 @@
 //! benches are the engine-local view for iterating on `channel.rs` and
 //! `fabric.rs` themselves.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkGroup, Criterion};
 
 use sva_common::rng::DeterministicRng;
 use sva_common::{
-    Cycles, InitiatorId, Iova, MemPortReq, NaiveTimedQueue, PhysAddr, PortTiming, TimedQueue,
-    PAGE_SIZE,
+    Cycles, InitiatorId, Iova, MemPortReq, PhysAddr, PortTiming, TimedQueue, PAGE_SIZE,
 };
-use sva_iommu::PageTableWalker;
-use sva_mem::{Fabric, MemSysConfig, MemorySystem, NaiveFabric};
+use sva_iommu::{PageTableWalker, WalkStore};
+use sva_mem::{Fabric, MemSysConfig, MemorySystem};
+use sva_reference::{NaiveFabric, NaiveSparseMemory, NaiveTimedQueue, NaiveWalkTable};
 use sva_vm::{AddressSpace, FrameAllocator};
 
 /// The deep-queue batch the `simspeed` stress point uses, at bench size.
@@ -175,7 +175,6 @@ fn bench_fabric_admit(c: &mut Criterion) {
 /// each iteration is identical and the two engines differ only in how they
 /// find the in-flight windows.
 fn bench_ptw_fetch_hot(c: &mut Criterion) {
-    const PAGES: u64 = 48;
     let storm: Vec<(u64, u64)> = {
         let mut rng = DeterministicRng::new(0x977A_5708);
         let mut cursors = [0u64; 4];
@@ -183,63 +182,75 @@ fn bench_ptw_fetch_hot(c: &mut Criterion) {
             .map(|i| {
                 let shard = i % 4;
                 cursors[shard] += rng.next_below(50);
-                (rng.next_below(PAGES), cursors[shard])
+                (rng.next_below(PTW_PAGES), cursors[shard])
             })
             .collect()
     };
     let mut group = c.benchmark_group("ptw/fetch_hot");
-    for (name, mut walker) in [
-        ("indexed", PageTableWalker::with_batching(8)),
-        ("naive", PageTableWalker::with_naive_batching(8)),
-    ] {
-        let mut mem = MemorySystem::new(MemSysConfig {
-            dram_latency: Cycles::new(400),
-            ..MemSysConfig::default()
-        });
-        let mut frames = FrameAllocator::linux_pool();
-        let mut space = AddressSpace::new(&mut mem, &mut frames).unwrap();
-        let base = Iova::from_virt(
-            space
-                .alloc_buffer(&mut mem, &mut frames, PAGES * PAGE_SIZE)
-                .unwrap(),
-        );
-        let mut horizon = 0u64;
-        for &(page, t) in &storm {
-            let res = walker
-                .walk_at(
-                    &mut mem,
-                    space.root(),
-                    base + page * PAGE_SIZE,
-                    false,
-                    Cycles::new(t),
-                )
-                .unwrap();
-            horizon = horizon.max(t + res.cycles.raw());
-        }
-        // Plant live windows past the storm's horizon, then probe inside
-        // them: every bench iteration coalesces on all levels.
-        walker
+    let indexed: PageTableWalker = PageTableWalker::with_batching(8);
+    bench_walker(&mut group, "indexed", indexed, &storm);
+    let naive = PageTableWalker::<NaiveWalkTable>::with_batching(8);
+    bench_walker(&mut group, "naive", naive, &storm);
+    group.finish();
+}
+
+/// Pages the hot-fetch storm walks.
+const PTW_PAGES: u64 = 48;
+
+/// Preloads `walker` with `storm`, plants live windows past its horizon and
+/// benches a walk that coalesces on them.
+fn bench_walker<T: WalkStore>(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    mut walker: PageTableWalker<T>,
+    storm: &[(u64, u64)],
+) {
+    let mut mem = MemorySystem::new(MemSysConfig {
+        dram_latency: Cycles::new(400),
+        ..MemSysConfig::default()
+    });
+    let mut frames = FrameAllocator::linux_pool();
+    let mut space = AddressSpace::new(&mut mem, &mut frames).unwrap();
+    let base = Iova::from_virt(
+        space
+            .alloc_buffer(&mut mem, &mut frames, PTW_PAGES * PAGE_SIZE)
+            .unwrap(),
+    );
+    let mut horizon = 0u64;
+    for &(page, t) in storm {
+        let res = walker
             .walk_at(
                 &mut mem,
                 space.root(),
-                base,
+                base + page * PAGE_SIZE,
                 false,
-                Cycles::new(horizon + 1),
+                Cycles::new(t),
             )
             .unwrap();
-        let probe_t = Cycles::new(horizon + 2);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(
-                    walker
-                        .walk_at(&mut mem, space.root(), base, false, probe_t)
-                        .unwrap()
-                        .cycles,
-                )
-            })
-        });
+        horizon = horizon.max(t + res.cycles.raw());
     }
-    group.finish();
+    // Plant live windows past the storm's horizon, then probe inside
+    // them: every bench iteration coalesces on all levels.
+    walker
+        .walk_at(
+            &mut mem,
+            space.root(),
+            base,
+            false,
+            Cycles::new(horizon + 1),
+        )
+        .unwrap();
+    let probe_t = Cycles::new(horizon + 2);
+    group.bench_function(name, |b| {
+        b.iter(|| {
+            black_box(
+                walker
+                    .walk_at(&mut mem, space.root(), base, false, probe_t)
+                    .unwrap()
+                    .cycles,
+            )
+        })
+    });
 }
 
 /// The hot data-plane element access: typed `u64` reads and writes cycling
@@ -261,7 +272,7 @@ fn bench_backing_frame_hot(c: &mut Criterion) {
         })
     });
     group.bench_function("naive", |b| {
-        let mut mem = sva_mem::NaiveSparseMemory::new(capacity);
+        let mut mem = NaiveSparseMemory::new(capacity);
         mem.write_u64(hot, 1).unwrap();
         let mut slot = 0u64;
         b.iter(|| {

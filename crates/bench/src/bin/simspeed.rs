@@ -6,8 +6,8 @@
 //!
 //! * `timed_queue_deep` — a deep bounded queue (depth 64) driven by an
 //!   out-of-order, slightly overloaded arrival process: the event-indexed
-//!   [`TimedQueue`] against the retained linear-scan
-//!   [`NaiveTimedQueue`] reference on the *same* batch (results are
+//!   [`TimedQueue`] against the linear-scan [`NaiveTimedQueue`]
+//!   reference on the *same* batch (results are
 //!   asserted identical). Records both engines' throughput and the
 //!   speedup; the full run gates on the indexed engine being at least
 //!   [`GATE_SPEEDUP`]× faster.
@@ -33,9 +33,8 @@
 //! * `ptw_walk_storm` — the translation path: a long sharded walk storm
 //!   through the batched page-table walker, the indexed walk table (with
 //!   its steady-state watermark-compaction discipline, peak live-record
-//!   count recorded) against the retained
-//!   [`sva_iommu::NaiveWalkTable`]-backed walker whose per-fetch probe and
-//!   MSHR count scan the whole accumulated table. Per-walk outcomes and
+//!   count recorded) against the [`NaiveWalkTable`]-backed walker whose
+//!   per-fetch probe and MSHR count scan the whole accumulated table. Per-walk outcomes and
 //!   final walker statistics are asserted identical; the full run gates on
 //!   [`GATE_SPEEDUP`].
 //! * `pri_group_storm` — the demand-paging page-request path: repeated
@@ -81,15 +80,13 @@ use std::time::Instant;
 use sva_bench::par::par_map_with;
 use sva_common::rng::DeterministicRng;
 use sva_common::{
-    ArbitrationPolicy, Cycles, InitiatorId, Iova, MemPortReq, NaiveTimedQueue, PhysAddr,
-    PortTiming, QueueDepths, TimedQueue, PAGE_SIZE,
+    ArbitrationPolicy, Cycles, InitiatorId, Iova, MemPortReq, PhysAddr, PortTiming, QueueDepths,
+    TimedQueue, PAGE_SIZE,
 };
-use sva_iommu::{Iommu, IommuConfig, PageTableWalker};
+use sva_iommu::{Iommu, IommuConfig, PageTableWalker, WalkStore};
 use sva_kernels::KernelKind;
-use sva_mem::{
-    Fabric, FabricConfig, GrantOutcome, MemSysConfig, MemorySystem, NaiveFabric, NaiveSparseMemory,
-    SparseMemory,
-};
+use sva_mem::{Fabric, FabricConfig, GrantOutcome, MemSysConfig, MemorySystem, SparseMemory};
+use sva_reference::{NaiveFabric, NaiveSparseMemory, NaiveTimedQueue, NaiveWalkTable};
 use sva_soc::config::SocVariant;
 use sva_soc::experiments::fabric::{self, FabricKnobs, TlbHierarchyConfig, TlbKnobs};
 use sva_vm::{AddressSpace, FrameAllocator, PageTable};
@@ -411,8 +408,8 @@ fn ptw_environment() -> (MemorySystem, AddressSpace, Iova) {
 /// at the no-earlier-arrival watermark (the minimum of the four shard
 /// cursors — the last four arrivals are exactly the shards' frontiers).
 /// Returns (horizon, wallclock ms, outcome digest, peak live records).
-fn drive_ptw(
-    walker: &mut PageTableWalker,
+fn drive_ptw<T: WalkStore>(
+    walker: &mut PageTableWalker<T>,
     batch: &[(u64, u64)],
     compact: bool,
 ) -> (u64, f64, u64, usize) {
@@ -453,9 +450,9 @@ fn drive_ptw(
 
 fn ptw_walk_storm(walks: usize) -> SpeedPoint {
     let batch = ptw_storm_batch(walks);
-    let mut indexed = PageTableWalker::with_batching(8);
+    let mut indexed: PageTableWalker = PageTableWalker::with_batching(8);
     let (horizon, indexed_ms, indexed_digest, events_peak) = drive_ptw(&mut indexed, &batch, true);
-    let mut naive = PageTableWalker::with_naive_batching(8);
+    let mut naive = PageTableWalker::<NaiveWalkTable>::with_batching(8);
     let (_, naive_ms, naive_digest, _) = drive_ptw(&mut naive, &batch, false);
     assert_eq!(
         indexed_digest, naive_digest,

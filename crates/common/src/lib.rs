@@ -62,7 +62,7 @@ pub mod prelude {
 
 pub use addr::{Iova, PhysAddr, VirtAddr, CACHE_LINE_SIZE, PAGE_SHIFT, PAGE_SIZE};
 pub use arrival::ArrivalMix;
-pub use channel::{CreditPort, NaiveTimedQueue, QueueDepths, ReservationIndex, TimedQueue};
+pub use channel::{CreditPort, QueueDepths, ReservationIndex, TimedQueue};
 pub use clock::{GlobalClock, TimeSource};
 pub use cycles::{ClockDomain, Cycles};
 pub use error::{Error, Result};

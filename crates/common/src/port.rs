@@ -15,8 +15,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::PhysAddr;
 use crate::cycles::Cycles;
 
@@ -24,7 +22,7 @@ use crate::cycles::Cycles;
 ///
 /// DMA initiators are keyed by the IOMMU device ID their traffic presents,
 /// so an N-cluster platform has N distinct DMA initiators sharing the fabric.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum InitiatorId {
     /// The CVA6 host core (through its L1 caches).
     Host,
@@ -78,7 +76,7 @@ impl fmt::Display for InitiatorId {
 
 /// Coarse class of an initiator: determines the crossbar master port and the
 /// LLC policy applied to its traffic.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum InitiatorClass {
     /// Host traffic (cached by the LLC when present).
     Host,
@@ -112,7 +110,7 @@ pub enum InitiatorClass {
 /// * [`ArbitrationPolicy::FixedPriority`] — strict ordering by
 ///   [`MemPortReq::priority`]: a grant queues exactly behind conflicting
 ///   reservations of equal or higher priority and ignores lower ones.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum ArbitrationPolicy {
     /// First-fit interval placement (the PR 1 model); the default.
     #[default]
@@ -154,7 +152,7 @@ impl fmt::Display for ArbitrationPolicy {
 }
 
 /// Direction of a fabric access.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum PortDir {
     /// Data flows from memory to the initiator.
     Read,
@@ -170,7 +168,7 @@ impl PortDir {
 }
 
 /// Access descriptor presented at a fabric port.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct MemPortReq {
     /// Who is asking.
     pub initiator: InitiatorId,
@@ -249,7 +247,7 @@ impl MemPortReq {
 /// Timing of one fabric access, split into the latency to first data and the
 /// data-bus occupancy (the same split [`sva_mem`'s DRAM model] uses, so burst
 /// pipelining can overlap latencies).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct PortTiming {
     /// Cycles until the first beat (or write acceptance) returns.
     pub latency: Cycles,
@@ -265,7 +263,7 @@ impl PortTiming {
 }
 
 /// Per-initiator fabric statistics.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct InitiatorStats {
     /// Read accesses granted.
     pub reads: u64,

@@ -7,13 +7,11 @@
 //! they are pure configuration vocabulary — the TLB *core* that interprets
 //! them is a hardware model and lives with the IOMMU.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of a set-associative TLB: `sets × ways` entries.
 ///
 /// `sets == 1` is a fully-associative TLB (the paper's prototype IOTLB);
 /// `ways == 1` is direct-mapped. Both dimensions must be at least one.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct TlbOrg {
     /// Number of sets the tag is hashed into.
     pub sets: usize,
@@ -59,7 +57,7 @@ impl TlbOrg {
 /// All policies are fully deterministic, including [`ReplacementPolicy::Random`],
 /// which draws its victims from a `DeterministicRng`-style splitmix64 stream
 /// seeded by the carried seed — the same run always evicts the same entries.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ReplacementPolicy {
     /// Exact least-recently-used: every hit and fill timestamps the entry;
     /// the victim is the oldest timestamp in the set. This is the paper

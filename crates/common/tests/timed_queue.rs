@@ -23,7 +23,8 @@
 use std::collections::BTreeSet;
 
 use sva_common::rng::DeterministicRng;
-use sva_common::{NaiveTimedQueue, TimedQueue};
+use sva_common::TimedQueue;
+use sva_reference::NaiveTimedQueue;
 
 /// The behaviour surface the driver compares, implemented by both engines
 /// (and by the deliberately broken one).

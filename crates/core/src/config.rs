@@ -14,7 +14,6 @@
 //! All variants share the DRAM-latency knob (the AXI delayer) swept over
 //! 200 / 600 / 1000 cycles.
 
-use serde::{Deserialize, Serialize};
 use sva_cluster::{ClusterConfig, DmaConfig};
 use sva_common::{ArbitrationPolicy, Cycles, Error, QueueDepths, Result};
 use sva_host::{DriverConfig, HostCpuConfig, HostTrafficConfig, InterferenceLevel};
@@ -22,7 +21,7 @@ use sva_iommu::{IommuConfig, IommuMode, TlbHierarchyConfig};
 use sva_mem::{DramChannelConfig, LlcConfig, MemSysConfig};
 
 /// The three platform variants of the evaluation.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum SocVariant {
     /// No IOMMU (physical addressing, copy-based offload only).
     Baseline,
@@ -64,7 +63,7 @@ impl SocVariant {
 pub const PAPER_LATENCIES: [u64; 3] = [200, 600, 1000];
 
 /// Full configuration of a platform instance.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PlatformConfig {
     /// Which of the paper's variants this is.
     pub variant: SocVariant,
@@ -194,9 +193,9 @@ impl PlatformConfig {
     }
 
     /// Returns a copy with `n` accelerator clusters sharing the IOMMU and
-    /// the memory fabric (clamped to at least one).
+    /// the memory fabric (`Platform::new` rejects `n = 0`).
     pub fn with_clusters(mut self, n: usize) -> Self {
-        self.num_clusters = n.max(1);
+        self.num_clusters = n;
         self
     }
 
@@ -337,17 +336,21 @@ impl PlatformConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] for a zero-entry IOTLB
-    /// (`iommu.iotlb_entries`), a DMA engine allowed no outstanding
-    /// bursts (`cluster.dma.max_outstanding`), a zero-slot fabric queue
-    /// (`mem.fabric.req_queue_depth` / `mem.fabric.rsp_queue_depth`) or a
-    /// DRAM backend without channels (`mem.fabric.channels.num_channels`).
+    /// Returns [`Error::InvalidConfig`] for a platform without clusters
+    /// (`num_clusters`), a zero-entry IOTLB (`iommu.iotlb_entries`), a DMA
+    /// engine allowed no outstanding bursts (`cluster.dma.max_outstanding`),
+    /// a zero-slot fabric queue (`mem.fabric.req_queue_depth` /
+    /// `mem.fabric.rsp_queue_depth`) or a DRAM backend without channels
+    /// (`mem.fabric.channels.num_channels`).
     pub(crate) fn validate(&self) -> Result<()> {
         let reject = |reason: &str| {
             Err(Error::InvalidConfig {
                 reason: reason.to_string(),
             })
         };
+        if self.num_clusters == 0 {
+            return reject("num_clusters (with_clusters) must be at least 1");
+        }
         if self.iommu.iotlb_entries == 0 {
             return reject("iommu.iotlb_entries (with_iotlb_entries) must be at least 1");
         }

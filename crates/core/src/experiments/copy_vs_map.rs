@@ -10,8 +10,6 @@
 //! latency grows from 200 to 1000 cycles, while mapping becomes only ~2.1×
 //! slower because the driver's working set is mostly cache-resident.
 
-use serde::{Deserialize, Serialize};
-
 use sva_common::{Result, PAGE_SIZE};
 
 use crate::config::PlatformConfig;
@@ -19,7 +17,7 @@ use crate::platform::Platform;
 use crate::report::{sci, TextTable};
 
 /// One `(pages, latency)` measurement.
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 pub struct CopyVsMapPoint {
     /// Buffer size in 4 KiB pages.
     pub pages: u64,
@@ -32,7 +30,7 @@ pub struct CopyVsMapPoint {
 }
 
 /// The full sweep.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct CopyVsMapResult {
     /// All measurement points.
     pub points: Vec<CopyVsMapPoint>,

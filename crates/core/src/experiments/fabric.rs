@@ -30,8 +30,6 @@
 //! the `sva_bench` sweep driver can fan combinations out across worker
 //! threads; [`run`] is the sequential convenience over the full grid.
 
-use serde::{Deserialize, Serialize};
-
 use sva_kernels::KernelKind;
 
 use crate::config::{PlatformConfig, SocVariant};
@@ -46,7 +44,7 @@ use sva_mem::ChannelStats;
 /// The global-clock knobs of one measurement point: timed host traffic in
 /// the window and the MSHR-style batched walker. `FabricKnobs::default()`
 /// is the host-idle serial-walker baseline (the PR 1/2 engine).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct FabricKnobs {
     /// Inject the default timed host-traffic stream into the window.
     pub host_traffic: bool,
@@ -79,7 +77,7 @@ impl FabricKnobs {
 /// The translation knobs of one measurement point: the two-level TLB
 /// hierarchy and ATS/PRI demand paging. `TlbKnobs::default()` is the
 /// paper prototype's single IOTLB with faults-are-errors.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct TlbKnobs {
     /// Two-level hierarchy configuration (`None` = single-level IOTLB).
     pub hierarchy: Option<TlbHierarchyConfig>,
@@ -106,7 +104,7 @@ impl TlbKnobs {
 }
 
 /// Per-initiator numbers of one measurement point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct InitiatorRow {
     /// Initiator label (`host`, `ptw`, `dma[3]`, …).
     pub initiator: String,
@@ -129,7 +127,7 @@ pub struct InitiatorRow {
 }
 
 /// Per-channel numbers of one measurement point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ChannelRow {
     /// Channel index.
     pub channel: usize,
@@ -138,7 +136,7 @@ pub struct ChannelRow {
 }
 
 /// One measurement point of the sweep.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FabricPoint {
     /// Kernel measured.
     pub kernel: String,
@@ -233,7 +231,7 @@ impl FabricPoint {
 }
 
 /// The full sweep.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct FabricSweepResult {
     /// All measurement points.
     pub points: Vec<FabricPoint>,
@@ -404,7 +402,7 @@ impl FabricSweepResult {
     }
 
     /// Serialises the sweep as JSON (hand-rolled; the build is offline and
-    /// carries no serde_json).
+    /// carries no JSON library).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"experiment\": \"fabric_sweep\",\n  \"points\": [\n");
         for (i, p) in self.points.iter().enumerate() {
@@ -533,7 +531,7 @@ impl FabricSweepResult {
 /// Execution metadata of one sweep run: how the work was parallelised and
 /// how long it took, recorded into the bench JSON so thread-scaling and
 /// speed regressions are visible PR-over-PR.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SweepMeta {
     /// Worker threads the sweep ran on.
     pub workers: usize,

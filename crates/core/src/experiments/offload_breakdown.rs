@@ -7,8 +7,6 @@
 //! the headline claim of Section IV-A: how much faster zero-copy offloading
 //! is than copy-based offloading.
 
-use serde::{Deserialize, Serialize};
-
 use sva_common::Result;
 use sva_kernels::AxpyWorkload;
 
@@ -18,7 +16,7 @@ use crate::platform::Platform;
 use crate::report::{sci, TextTable};
 
 /// One bar of the figure.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OffloadCase {
     /// Which offload flow.
     pub mode: OffloadMode,
@@ -35,7 +33,7 @@ pub struct OffloadCase {
 }
 
 /// The three bars plus derived headline numbers.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OffloadBreakdownResult {
     /// Problem size (elements per vector).
     pub elems: usize,

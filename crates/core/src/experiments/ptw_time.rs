@@ -9,8 +9,6 @@
 //! 200 cycles even at 1000 cycles of DRAM latency), and host interference
 //! adds roughly 20 % to the walk time.
 
-use serde::{Deserialize, Serialize};
-
 use sva_common::Result;
 use sva_host::InterferenceLevel;
 use sva_kernels::AxpyWorkload;
@@ -21,7 +19,7 @@ use crate::platform::Platform;
 use crate::report::TextTable;
 
 /// One `(latency, llc, interference)` measurement.
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 pub struct PtwPoint {
     /// DRAM latency (delayer cycles).
     pub dram_latency: u64,
@@ -36,7 +34,7 @@ pub struct PtwPoint {
 }
 
 /// The full sweep.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PtwResultSet {
     /// All measurement points.
     pub points: Vec<PtwPoint>,

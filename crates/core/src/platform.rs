@@ -113,7 +113,7 @@ impl Platform {
         cpu.attach_clock(&clock);
         let host_traffic = config.host_traffic.map(HostTrafficStream::new);
         let mut iommu = Iommu::new(config.iommu);
-        let num_clusters = config.num_clusters.max(1);
+        let num_clusters = config.num_clusters;
         let clusters = (0..num_clusters)
             .map(|i| {
                 let mut cluster_cfg = config.cluster;
@@ -233,6 +233,12 @@ mod tests {
             reason.contains("mem.fabric.channels.num_channels"),
             "{reason}"
         );
+    }
+
+    #[test]
+    fn zero_clusters_are_rejected_by_name() {
+        let reason = rejected_knob(PlatformConfig::iommu_with_llc(200).with_clusters(0));
+        assert!(reason.contains("num_clusters (with_clusters)"), "{reason}");
     }
 
     #[test]

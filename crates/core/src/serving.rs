@@ -34,8 +34,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
-
 use sva_common::channel::TimedQueue;
 use sva_common::rng::DeterministicRng;
 use sva_common::stats::Histogram;
@@ -63,7 +61,7 @@ const LATENCY_BUCKETS: usize = 16_384;
 const QUEUE_SAMPLES: usize = 32;
 
 /// One tenant's offered load.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TenantLoad {
     /// Display name ("latency-sensitive").
     pub name: String,
@@ -76,7 +74,7 @@ pub struct TenantLoad {
 }
 
 /// Full specification of one serving point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ServingConfig {
     /// Number of accelerator clusters serving requests.
     pub clusters: usize,
@@ -145,7 +143,7 @@ impl ServingConfig {
 
 /// Calibrated end-to-end service time per kernel: offload trigger + the
 /// measured device-only execution + completion sync.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ServiceTable {
     entries: Vec<(KernelKind, Cycles)>,
 }
@@ -193,7 +191,7 @@ impl ServiceTable {
 }
 
 /// Latency SLO summary (cycles at the histogram bucket resolution).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Median end-to-end latency.
     pub p50: u64,
@@ -219,7 +217,7 @@ impl LatencySummary {
 
 /// Per-tenant serving outcome: the goodput-vs-offered-load curve's data
 /// point for this tenant.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TenantReport {
     /// Tenant name.
     pub name: String,
@@ -240,7 +238,7 @@ pub struct TenantReport {
 }
 
 /// Everything one serving point produced.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ServingReport {
     /// Dispatch policy label.
     pub policy: String,

@@ -8,13 +8,12 @@
 //! cycles of one access, `execute` charges ALU/FPU work, and an internal
 //! counter accumulates the total so callers can read off elapsed time.
 
-use serde::{Deserialize, Serialize};
 use sva_common::{Cycles, GlobalClock, PhysAddr, Result, CACHE_LINE_SIZE};
 use sva_mem::cache::{Cache, CacheConfig};
 use sva_mem::MemorySystem;
 
 /// Configuration of the host CPU model.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct HostCpuConfig {
     /// Geometry of the L1 data cache (write-through on CVA6).
     pub l1d: CacheConfig,

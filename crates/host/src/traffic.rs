@@ -20,13 +20,12 @@
 //!   (M/D/1 queueing delay + random LLC pollution). Kept for Figure 5
 //!   reproduction; the timed stream supersedes it for fabric sweeps.
 
-use serde::{Deserialize, Serialize};
 use sva_common::{Cycles, GlobalClock, InitiatorId, PhysAddr, Result};
 use sva_mem::interference::InterferenceConfig;
 use sva_mem::{MemReq, MemorySystem};
 
 /// Configuration of the timed host-traffic stream.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct HostTrafficConfig {
     /// Total timed host accesses injected per measurement window.
     pub accesses: u64,
@@ -81,7 +80,7 @@ impl HostTrafficConfig {
 /// makes host *self*-interference (the stream contending with the runtime's
 /// own copies and page-table writes) separable from device-phase
 /// interference.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum TrafficPhase {
     /// Copy/map phases of `OffloadRunner::run` (offload setup/teardown).
     Setup,
@@ -91,7 +90,7 @@ pub enum TrafficPhase {
 }
 
 /// Per-phase accounting of the stream.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTraffic {
     /// Accesses issued during the phase.
     pub issued: u64,
@@ -105,7 +104,7 @@ pub struct PhaseTraffic {
 
 /// Statistics of the stream (fabric-level accounting lives in the
 /// per-initiator `host_stream` row of `Fabric::snapshot`).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct HostTrafficStats {
     /// Accesses issued since the last statistics reset.
     pub issued: u64,
@@ -275,7 +274,7 @@ impl HostTrafficStream {
 }
 
 /// Qualitative level of concurrent host memory traffic.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum InterferenceLevel {
     /// The host is idle while the accelerator runs (the default for every
     /// experiment except Figure 5's interference curves).

@@ -33,7 +33,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
 use sva_common::stats::{Histogram, HitMiss, RunningStats};
 use sva_common::{Cycles, Error, Iova, PhysAddr, ReplacementPolicy, Result, TimedQueue, TlbOrg};
 use sva_mem::MemorySystem;
@@ -52,7 +51,7 @@ const PRI_HIST_BUCKET: u64 = 512;
 const PRI_HIST_BUCKETS: usize = 256;
 
 /// Operating mode of the IOMMU instance.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum IommuMode {
     /// The IOMMU is not instantiated: device addresses are used as physical
     /// bus addresses unchanged and translation costs nothing. This is the
@@ -68,7 +67,7 @@ pub enum IommuMode {
 
 /// Geometry, policy and lookup cost of one level of the translation
 /// hierarchy.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct TlbLevelConfig {
     /// Organisation of the level (`sets × ways`).
     pub org: TlbOrg,
@@ -91,7 +90,7 @@ impl TlbLevelConfig {
 
 /// The two-level translation hierarchy: a private L1 ATC per device in
 /// front of a shared L2 IOTLB.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct TlbHierarchyConfig {
     /// The per-device L1 address-translation cache.
     pub l1: TlbLevelConfig,
@@ -120,7 +119,7 @@ impl Default for TlbHierarchyConfig {
 }
 
 /// Configuration of the IOMMU model.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct IommuConfig {
     /// Operating mode.
     pub mode: IommuMode,
@@ -194,7 +193,7 @@ impl IommuConfig {
 }
 
 /// Snapshot of the IOMMU's statistics.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct IommuStats {
     /// Translation requests served (including bypassed ones).
     pub translations: u64,

@@ -15,14 +15,13 @@
 //! translating devices; hit/miss statistics are kept both globally and per
 //! device.
 
-use serde::{Deserialize, Serialize};
 use sva_common::rng::DeterministicRng;
 use sva_common::stats::HitMiss;
 use sva_common::{Iova, PhysAddr, ReplacementPolicy, TlbOrg, PAGE_SHIFT};
 use sva_vm::PteFlags;
 
 /// One cached translation.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct IoTlbEntry {
     /// Device that owns the translation.
     pub device_id: u32,
@@ -44,7 +43,7 @@ impl IoTlbEntry {
 /// One way of a set: the cached translation plus the replacement metadata
 /// the configured policy interprets (an LRU timestamp, a FIFO sequence
 /// number or a PLRU mark bit).
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 struct Slot {
     entry: IoTlbEntry,
     stamp: u64,
@@ -56,7 +55,7 @@ struct Slot {
 /// true LRU); [`IoTlb::with_org`] opens the full `sets × ways × policy`
 /// space. Lookups and fills are **functional and untimed** — the lookup
 /// latency of a level is charged by the [`crate::Iommu`] that owns it.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct IoTlb {
     org: TlbOrg,
     policy: ReplacementPolicy,

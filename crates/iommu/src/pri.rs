@@ -27,7 +27,6 @@
 //! `IommuStats`, including approximate percentiles from a latency
 //! histogram.
 
-use serde::{Deserialize, Serialize};
 use sva_common::stats::RunningStats;
 use sva_common::{Cycles, Result};
 use sva_mem::MemorySystem;
@@ -55,7 +54,7 @@ pub trait PageRequestHandler {
 }
 
 /// Accounting of the page-request path, kept by the [`Iommu`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct PageRequestStats {
     /// Page requests accepted into the queue.
     pub requests: u64,

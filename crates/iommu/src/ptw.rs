@@ -64,10 +64,11 @@
 //! issues its own read at an instant no held window covers), so among the
 //! windows covering an instant the first-inserted is precisely the one
 //! with the greatest issue time — the one the backward floor-walk meets
-//! first. The pre-index algorithm is retained verbatim as
-//! [`NaiveWalkTable`], the executable reference the cycle-identity
+//! first. The pre-index flat table lives on in the dev-only
+//! `sva_reference` crate, the executable reference the cycle-identity
 //! property suite (`crates/iommu/tests/ptw_identity.rs`) and the
-//! `ptw_walk_storm` perf gate drive against.
+//! `ptw_walk_storm` perf gate plug into the walker through its
+//! [`WalkStore`] type parameter.
 //!
 //! Like the fabric's reservation index, the live set is bounded by
 //! **watermark compaction**: [`PageTableWalker::compact_walk_table_before`]
@@ -83,7 +84,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use sva_common::stats::RunningStats;
 use sva_common::{Cycles, Error, InitiatorId, Iova, PhysAddr, Result, TimedQueue, VirtAddr};
 use sva_mem::{MemReq, MemorySystem};
@@ -94,7 +94,7 @@ use sva_vm::Pte;
 pub const DEFAULT_MSHR_ENTRIES: usize = 8;
 
 /// Outcome of one page-table walk.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PtwResult {
     /// The leaf entry found by the walk.
     pub leaf: Pte,
@@ -108,24 +108,9 @@ pub struct PtwResult {
     pub coalesced: u32,
 }
 
-/// One in-flight PTE read held by the walk table.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-struct WalkEntry {
-    /// Physical address of the PTE being fetched.
-    pte_addr: u64,
-    /// The value the read returns.
-    value: u64,
-    /// Global-clock cycle at which the read was issued: a walk can only
-    /// latch onto a read that is already outstanding at its own time.
-    issued: u64,
-    /// Global-clock cycle at which the read completes; the entry is dead
-    /// (and reclaimable) from this point on.
-    complete: u64,
-}
-
 /// One recorded `[issued, complete)` window in the indexed store (the issue
 /// time is the map key).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 struct WalkWindow {
     /// The value the read returns.
     value: u64,
@@ -134,7 +119,7 @@ struct WalkWindow {
 }
 
 /// The window set of one PTE address.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 struct AddrWindows {
     /// Windows keyed by issue time. Keys are unique: a second read of the
     /// same address at the same instant would have coalesced onto the held
@@ -145,12 +130,68 @@ struct AddrWindows {
     max_complete: u64,
 }
 
+/// The store behind a batched walker's MSHR registers: every held PTE read
+/// as a half-open `[issued, complete)` window on the global clock.
+/// [`WalkTable`] is the production engine; [`PageTableWalker`]'s type
+/// parameter lets a test or benchmark substitute another (a linear-scan
+/// reference, or a deliberately broken one).
+pub trait WalkStore: Clone + std::fmt::Debug + Default {
+    /// The held read of `pte_addr` outstanding at `now` (issued at or before
+    /// it, completing after it), if any: `(value, complete)`. Among several
+    /// such reads, the first held.
+    fn probe(&self, pte_addr: u64, now: u64) -> Option<(u64, u64)>;
+
+    /// Number of held reads in flight at `now`.
+    fn in_flight_at(&self, now: u64) -> usize;
+
+    /// Holds a read in a register. The caller guarantees `complete > issued`
+    /// (a zero-latency read can never serve a coalescing walk nor count as
+    /// in flight, so it is never held) and that the probe at `issued` for
+    /// `pte_addr` missed.
+    fn hold(&mut self, pte_addr: u64, value: u64, issued: u64, complete: u64);
+
+    /// Folds every window completing at or before watermark `w`. The caller
+    /// guarantees no later walk is stamped before `w` (the no-earlier-arrival
+    /// contract the fabric's compaction uses). The default keeps the whole
+    /// history.
+    fn compact_before(&mut self, _w: u64) {}
+
+    /// Live window records.
+    fn event_count(&self) -> usize;
+
+    /// Peak live record count over the window.
+    fn events_peak(&self) -> usize;
+
+    /// Records folded away by [`WalkStore::compact_before`].
+    fn compacted_events(&self) -> u64 {
+        0
+    }
+
+    /// The compaction watermark (0 until the first compaction).
+    fn watermark(&self) -> u64 {
+        0
+    }
+
+    /// Drops every register (invalidation); statistics survive.
+    fn clear(&mut self);
+
+    /// Clears registers *and* the lifecycle statistics.
+    fn reset(&mut self);
+
+    /// Checks the store's internal invariants.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the store is inconsistent.
+    fn debug_validate(&self) {}
+}
+
 /// The indexed MSHR walk-table store: per-address issue-time-keyed window
 /// maps for the coalescing probe plus a boundary-delta occupancy timeline
-/// for the in-flight concurrency bound. Cycle-identical to
-/// [`NaiveWalkTable`] (the property suite in
-/// `crates/iommu/tests/ptw_identity.rs` pins it).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// for the in-flight concurrency bound. Cycle-identical to the flat
+/// reference table the property suite `crates/iommu/tests/ptw_identity.rs`
+/// runs it against.
+#[derive(Clone, Debug)]
 pub struct WalkTable {
     addrs: BTreeMap<u64, AddrWindows>,
     /// `[issued, complete)` residency of every held read: the MSHR
@@ -179,42 +220,31 @@ impl Default for WalkTable {
     }
 }
 
-impl WalkTable {
-    /// The register whose read is outstanding at `now` for `pte_addr`, if
-    /// any: `(value, complete)`. `skew` widens every window's completion
-    /// edge (test-only, see [`PageTableWalker::debug_probe_skew`]; zero in
-    /// production).
-    ///
+impl WalkStore for WalkTable {
     /// Backward floor-walk from the greatest issue time at or before `now`.
-    /// The first *covering* window met is the naive table's first-inserted
+    /// The first *covering* window met is the flat table's first-inserted
     /// covering entry (overlapping same-address windows are inserted in
     /// strictly decreasing issue-time order — see the module docs). Dead
     /// windows with a later issue time than a covering one are possible
     /// (a short re-read nested inside a long out-of-order window) and are
     /// simply stepped over.
-    fn probe(&self, pte_addr: u64, now: u64, skew: u64) -> Option<(u64, u64)> {
+    fn probe(&self, pte_addr: u64, now: u64) -> Option<(u64, u64)> {
         let aw = self.addrs.get(&pte_addr)?;
-        if now >= aw.max_complete + skew {
+        if now >= aw.max_complete {
             return None;
         }
         aw.by_issue
             .range(..=now)
             .rev()
-            .find(|(_, w)| w.complete + skew > now)
+            .find(|(_, w)| w.complete > now)
             .map(|(_, w)| (w.value, w.complete))
     }
 
-    /// Number of held reads in flight at `now` (issued at or before it,
-    /// completing after it).
     fn in_flight_at(&self, now: u64) -> usize {
         self.in_flight.occupancy_at(now)
     }
 
-    /// Holds a read in a register. The caller guarantees `complete > issued`
-    /// (a zero-latency read can never serve a coalescing walk nor count as
-    /// in flight, so it is never held) and that no held window of
-    /// `pte_addr` covers `issued` (the probe ran first), which makes the
-    /// issue-time key unique.
+    /// The missed probe makes the issue-time key unique.
     fn hold(&mut self, pte_addr: u64, value: u64, issued: u64, complete: u64) {
         debug_assert!(complete > issued);
         let aw = self.addrs.entry(pte_addr).or_default();
@@ -226,10 +256,8 @@ impl WalkTable {
         self.events_peak = self.events_peak.max(self.records);
     }
 
-    /// Folds every window completing at or before watermark `w` out of the
-    /// index. The caller guarantees no later walk is stamped before `w`
-    /// (the no-earlier-arrival contract the fabric's compaction uses), so a
-    /// folded window could never again serve a probe or count as in flight.
+    /// A folded window could never again serve a probe or count as in
+    /// flight.
     fn compact_before(&mut self, w: u64) {
         if w <= self.watermark {
             return;
@@ -251,27 +279,22 @@ impl WalkTable {
         self.in_flight.compact_before(w);
     }
 
-    /// Live window records held by the index.
     fn event_count(&self) -> usize {
         self.records
     }
 
-    /// Peak live record count over the window.
-    const fn events_peak(&self) -> usize {
+    fn events_peak(&self) -> usize {
         self.events_peak
     }
 
-    /// Records folded away by [`WalkTable::compact_before`].
-    const fn compacted_events(&self) -> u64 {
+    fn compacted_events(&self) -> u64 {
         self.compacted
     }
 
-    /// The compaction watermark (0 until the first compaction).
-    const fn watermark(&self) -> u64 {
+    fn watermark(&self) -> u64 {
         self.watermark
     }
 
-    /// Drops every register (invalidation); statistics survive.
     fn clear(&mut self) {
         self.addrs.clear();
         self.records = 0;
@@ -279,7 +302,6 @@ impl WalkTable {
         self.in_flight.clear_entries();
     }
 
-    /// Clears registers *and* the lifecycle statistics.
     fn reset(&mut self) {
         self.clear();
         self.events_peak = 0;
@@ -290,10 +312,6 @@ impl WalkTable {
     /// Checks the index invariants: the record count matches the maps, every
     /// window is non-empty and at or under its address's `max_complete`,
     /// and the in-flight timeline's prefix is consistent.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the index is inconsistent.
     fn debug_validate(&self) {
         let mut records = 0usize;
         for (addr, aw) in &self.addrs {
@@ -314,159 +332,9 @@ impl WalkTable {
     }
 }
 
-/// The pre-index walk table, retained **verbatim** as the executable
-/// specification of the MSHR semantics: a flat insertion-ordered `Vec`
-/// whose coalescing probe is a first-match scan and whose concurrency
-/// bound is a full-table filter. [`WalkTable`] must stay cycle-identical
-/// to it; the property suite and the `ptw_walk_storm` perf gate twin-run
-/// both engines on the same workloads.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct NaiveWalkTable {
-    table: Vec<WalkEntry>,
-    events_peak: usize,
-}
-
-impl NaiveWalkTable {
-    fn probe(&self, pte_addr: u64, now: u64, skew: u64) -> Option<(u64, u64)> {
-        self.table
-            .iter()
-            .find(|e| e.pte_addr == pte_addr && e.issued <= now && e.complete + skew > now)
-            .map(|e| (e.value, e.complete))
-    }
-
-    fn in_flight_at(&self, now: u64) -> usize {
-        self.table
-            .iter()
-            .filter(|e| e.issued <= now && e.complete > now)
-            .count()
-    }
-
-    fn hold(&mut self, pte_addr: u64, value: u64, issued: u64, complete: u64) {
-        self.table.push(WalkEntry {
-            pte_addr,
-            value,
-            issued,
-            complete,
-        });
-        self.events_peak = self.events_peak.max(self.table.len());
-    }
-
-    fn event_count(&self) -> usize {
-        self.table.len()
-    }
-
-    const fn events_peak(&self) -> usize {
-        self.events_peak
-    }
-
-    fn clear(&mut self) {
-        self.table.clear();
-    }
-
-    fn reset(&mut self) {
-        self.table.clear();
-        self.events_peak = 0;
-    }
-}
-
-/// The walk-table engine behind a batched walker: the indexed store or the
-/// retained linear-scan reference.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-enum WalkTableImpl {
-    Indexed(WalkTable),
-    Naive(NaiveWalkTable),
-}
-
-impl Default for WalkTableImpl {
-    fn default() -> Self {
-        Self::Indexed(WalkTable::default())
-    }
-}
-
-impl WalkTableImpl {
-    fn probe(&self, pte_addr: u64, now: u64, skew: u64) -> Option<(u64, u64)> {
-        match self {
-            Self::Indexed(t) => t.probe(pte_addr, now, skew),
-            Self::Naive(t) => t.probe(pte_addr, now, skew),
-        }
-    }
-
-    fn in_flight_at(&self, now: u64) -> usize {
-        match self {
-            Self::Indexed(t) => t.in_flight_at(now),
-            Self::Naive(t) => t.in_flight_at(now),
-        }
-    }
-
-    fn hold(&mut self, pte_addr: u64, value: u64, issued: u64, complete: u64) {
-        match self {
-            Self::Indexed(t) => t.hold(pte_addr, value, issued, complete),
-            Self::Naive(t) => t.hold(pte_addr, value, issued, complete),
-        }
-    }
-
-    fn compact_before(&mut self, w: u64) {
-        match self {
-            Self::Indexed(t) => t.compact_before(w),
-            // The reference keeps the full window history by design — its
-            // probe semantics *are* the spec the compaction contract must
-            // not disturb.
-            Self::Naive(_) => {}
-        }
-    }
-
-    fn event_count(&self) -> usize {
-        match self {
-            Self::Indexed(t) => t.event_count(),
-            Self::Naive(t) => t.event_count(),
-        }
-    }
-
-    fn events_peak(&self) -> usize {
-        match self {
-            Self::Indexed(t) => t.events_peak(),
-            Self::Naive(t) => t.events_peak(),
-        }
-    }
-
-    fn compacted_events(&self) -> u64 {
-        match self {
-            Self::Indexed(t) => t.compacted_events(),
-            Self::Naive(_) => 0,
-        }
-    }
-
-    fn watermark(&self) -> u64 {
-        match self {
-            Self::Indexed(t) => t.watermark(),
-            Self::Naive(_) => 0,
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Self::Indexed(t) => t.clear(),
-            Self::Naive(t) => t.clear(),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            Self::Indexed(t) => t.reset(),
-            Self::Naive(t) => t.reset(),
-        }
-    }
-
-    fn debug_validate(&self) {
-        if let Self::Indexed(t) = self {
-            t.debug_validate();
-        }
-    }
-}
-
-/// The hardware page-table walker.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct PageTableWalker {
+/// The hardware page-table walker, its MSHR registers held in a `T` store.
+#[derive(Clone, Debug, Default)]
+pub struct PageTableWalker<T = WalkTable> {
     walk_time: RunningStats,
     walks: u64,
     faults: u64,
@@ -478,11 +346,8 @@ pub struct PageTableWalker {
     batching: bool,
     /// Capacity of the walk table (ignored with batching off).
     mshr_entries: usize,
-    /// Test-only probe skew (see [`PageTableWalker::debug_probe_skew`]);
-    /// always zero in production walkers.
-    probe_skew: u64,
     /// The in-flight PTE reads.
-    table: WalkTableImpl,
+    table: T,
 }
 
 impl PageTableWalker {
@@ -490,26 +355,15 @@ impl PageTableWalker {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl<T: WalkStore> PageTableWalker<T> {
     /// Creates a walker with the MSHR-style walk table enabled, holding up
     /// to `mshr_entries` in-flight PTE reads (clamped to at least one).
     pub fn with_batching(mshr_entries: usize) -> Self {
         Self {
             batching: true,
             mshr_entries: mshr_entries.max(1),
-            ..Self::default()
-        }
-    }
-
-    /// Creates a batched walker on the retained [`NaiveWalkTable`]
-    /// reference engine — the executable spec the cycle-identity suite and
-    /// the `ptw_walk_storm` perf gate twin-run against. Not for production
-    /// use: the flat store scans its whole window history on every fetch.
-    pub fn with_naive_batching(mshr_entries: usize) -> Self {
-        Self {
-            batching: true,
-            mshr_entries: mshr_entries.max(1),
-            table: WalkTableImpl::Naive(NaiveWalkTable::default()),
             ..Self::default()
         }
     }
@@ -541,9 +395,7 @@ impl PageTableWalker {
             // simulated sequentially, so arrival times interleave
             // arbitrarily) — they are only reclaimed by watermark
             // compaction or an invalidation.
-            if let Some((value, complete)) =
-                self.table.probe(pte_addr.raw(), now.raw(), self.probe_skew)
-            {
+            if let Some((value, complete)) = self.table.probe(pte_addr.raw(), now.raw()) {
                 self.coalesced_reads += 1;
                 return Ok((value, Cycles::new(complete), true));
             }
@@ -732,25 +584,13 @@ impl PageTableWalker {
     /// Folds every walk-table window completing at or before watermark `w`.
     /// Contract: no later walk will be stamped before `w` (the same
     /// no-earlier-arrival watermark `Fabric::compact_before` uses); applied
-    /// at sharded device-window boundaries. A no-op on the naive reference
-    /// engine, whose full retained history *is* the spec.
+    /// at sharded device-window boundaries. A no-op on a store that keeps
+    /// its whole history.
     pub fn compact_walk_table_before(&mut self, w: Cycles) {
         self.table.compact_before(w.raw());
     }
 
-    /// Test hook: widens every held window's completion edge by `skew`
-    /// cycles at probe time, turning the walk table's half-open
-    /// `[issued, complete)` windows end-inclusive (a window with
-    /// `complete == now` wrongly serves the walk) — the injected
-    /// completion-window off-by-one the cycle-identity suite must prove it
-    /// catches.
-    #[doc(hidden)]
-    pub fn debug_probe_skew(&mut self, skew: u64) {
-        self.probe_skew = skew;
-    }
-
-    /// Checks the indexed walk table's internal invariants (no-op on the
-    /// naive reference).
+    /// Checks the walk table's internal invariants.
     ///
     /// # Panics
     ///
@@ -897,7 +737,7 @@ mod tests {
     fn concurrent_same_page_walks_coalesce_to_one_walks_reads() {
         const K: u64 = 5;
         let (mut mem, space, iova) = mapped_space(false, 600);
-        let mut ptw = PageTableWalker::with_batching(DEFAULT_MSHR_ENTRIES);
+        let mut ptw: PageTableWalker = PageTableWalker::with_batching(DEFAULT_MSHR_ENTRIES);
         let first = ptw
             .walk_at(&mut mem, space.root(), iova, false, Cycles::ZERO)
             .unwrap();
@@ -925,7 +765,7 @@ mod tests {
     #[test]
     fn concurrent_neighbour_walks_share_upper_levels() {
         let (mut mem, space, iova) = mapped_space_pages(false, 600, 4);
-        let mut ptw = PageTableWalker::with_batching(DEFAULT_MSHR_ENTRIES);
+        let mut ptw: PageTableWalker = PageTableWalker::with_batching(DEFAULT_MSHR_ENTRIES);
         let first = ptw
             .walk_at(&mut mem, space.root(), iova, false, Cycles::ZERO)
             .unwrap();
@@ -949,7 +789,7 @@ mod tests {
     #[test]
     fn expired_entries_do_not_serve_later_walks() {
         let (mut mem, space, iova) = mapped_space(false, 600);
-        let mut ptw = PageTableWalker::with_batching(DEFAULT_MSHR_ENTRIES);
+        let mut ptw: PageTableWalker = PageTableWalker::with_batching(DEFAULT_MSHR_ENTRIES);
         let first = ptw
             .walk_at(&mut mem, space.root(), iova, false, Cycles::ZERO)
             .unwrap();
@@ -1010,7 +850,7 @@ mod tests {
     fn stats_conserve_across_batch_sizes() {
         for entries in [1usize, 2, 4, 8, 64] {
             let (mut mem, space, iova) = mapped_space_pages(false, 600, 8);
-            let mut ptw = PageTableWalker::with_batching(entries);
+            let mut ptw: PageTableWalker = PageTableWalker::with_batching(entries);
             let mut walks = 0u64;
             for i in 0..16u64 {
                 let page = i % 8;
@@ -1069,7 +909,7 @@ mod tests {
                 .alloc_buffer(&mut mem, &mut frames, 4 * PAGE_SIZE)
                 .unwrap();
             let iova = Iova::from_virt(va);
-            let mut ptw = PageTableWalker::with_batching(DEFAULT_MSHR_ENTRIES);
+            let mut ptw: PageTableWalker = PageTableWalker::with_batching(DEFAULT_MSHR_ENTRIES);
             let mut walks = 0u64;
             // Overlapping walks of two neighbouring pages: with full
             // credits the second page's leaf read is held and later walks
@@ -1114,7 +954,7 @@ mod tests {
     #[test]
     fn invalidation_purges_the_walk_table() {
         let (mut mem, space, iova) = mapped_space(false, 600);
-        let mut ptw = PageTableWalker::with_batching(DEFAULT_MSHR_ENTRIES);
+        let mut ptw: PageTableWalker = PageTableWalker::with_batching(DEFAULT_MSHR_ENTRIES);
         ptw.walk_at(&mut mem, space.root(), iova, false, Cycles::ZERO)
             .unwrap();
         ptw.invalidate_walk_table();
@@ -1133,7 +973,7 @@ mod tests {
     #[test]
     fn walk_table_lifecycle_observables() {
         let (mut mem, space, iova) = mapped_space_pages(false, 600, 4);
-        let mut ptw = PageTableWalker::with_batching(DEFAULT_MSHR_ENTRIES);
+        let mut ptw: PageTableWalker = PageTableWalker::with_batching(DEFAULT_MSHR_ENTRIES);
         for i in 0..4u64 {
             ptw.walk_at(
                 &mut mem,

@@ -10,12 +10,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use sva_common::{Error, PhysAddr, Result};
 
 /// Byte offsets of the architectural registers (RISC-V IOMMU spec v1.0,
 /// chapter 5).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u64)]
 #[allow(missing_docs)]
 pub enum RegOffset {
@@ -66,7 +65,7 @@ pub const CAPABILITIES: u64 = (1 << 9)   // Sv39 support
 pub const DDTP_MODE_1LVL: u64 = 2;
 
 /// The register file.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RegisterFile {
     regs: BTreeMap<u64, u64>,
 }

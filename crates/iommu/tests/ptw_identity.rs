@@ -2,8 +2,8 @@
 //!
 //! The indexed walk table (per-PTE-address issue-time-keyed window maps +
 //! a boundary-delta in-flight counter) must be **bit-identical** to the
-//! retained [`sva_iommu::NaiveWalkTable`] reference (the original
-//! scan-twice-per-fetch flat table) on every walk: identical
+//! [`NaiveWalkTable`] reference (the original scan-twice-per-fetch flat
+//! table) on every walk: identical
 //! [`sva_iommu::PtwResult`]s — leaf, cycles, reads, coalesced levels —
 //! identical faults, identical walker statistics. The suite drives twin
 //! walkers against twin memory systems on `DeterministicRng` workloads
@@ -17,15 +17,16 @@
 //!   arrivals landing on recorded completion instants,
 //! * mapped and unmapped pages (the fault path), LLC on and off,
 //!
-//! and additionally proves the harness has teeth by catching an injected
-//! completion-window off-by-one (the PR 6 `OffByOneQueue` / PR 8
-//! `OffByOneFabric` discipline), and that watermark compaction is
-//! outcome-neutral under its contract while bounding the live set.
+//! and additionally proves the harness has teeth by catching a test-side
+//! walk store whose windows are end-inclusive (a completion-window
+//! off-by-one), and that watermark compaction is outcome-neutral under its
+//! contract while bounding the live set.
 
 use sva_common::rng::DeterministicRng;
 use sva_common::{Cycles, Iova, PAGE_SIZE};
-use sva_iommu::PageTableWalker;
+use sva_iommu::{PageTableWalker, WalkStore, WalkTable};
 use sva_mem::{FabricConfig, MemSysConfig, MemorySystem};
+use sva_reference::NaiveWalkTable;
 use sva_vm::{AddressSpace, FrameAllocator};
 
 const PAGES: u64 = 6;
@@ -98,8 +99,8 @@ fn workload(rng: &mut DeterministicRng, walks: usize) -> Vec<WalkOp> {
 
 /// Runs one op on one walker/environment, returning a comparable outcome
 /// string (leaf + cycles + reads + coalesced, or the fault).
-fn step(
-    ptw: &mut PageTableWalker,
+fn step<T: WalkStore>(
+    ptw: &mut PageTableWalker<T>,
     mem: &mut MemorySystem,
     space: &AddressSpace,
     base: Iova,
@@ -118,9 +119,9 @@ fn step(
 }
 
 /// Asserts both walkers agree on every walk and every statistic.
-fn assert_identical(
+fn assert_identical<N: WalkStore>(
     mut indexed: PageTableWalker,
-    mut naive: PageTableWalker,
+    mut naive: PageTableWalker<N>,
     llc: bool,
     req_queue_depth: usize,
     timed: bool,
@@ -168,7 +169,7 @@ fn indexed_walk_table_is_cycle_identical_to_the_naive_reference() {
                     );
                     assert_identical(
                         PageTableWalker::with_batching(mshr),
-                        PageTableWalker::with_naive_batching(mshr),
+                        PageTableWalker::<NaiveWalkTable>::with_batching(mshr),
                         llc,
                         req_depth,
                         timed,
@@ -180,7 +181,7 @@ fn indexed_walk_table_is_cycle_identical_to_the_naive_reference() {
         }
         // Serial twins degenerate to the same walker; pin that the harness
         // itself introduces no asymmetry.
-        assert_identical(
+        assert_identical::<WalkTable>(
             PageTableWalker::new(),
             PageTableWalker::new(),
             false,
@@ -198,8 +199,8 @@ fn indexed_walk_table_is_cycle_identical_to_the_naive_reference() {
 #[test]
 fn identity_holds_across_measurement_windows() {
     let mut rng = DeterministicRng::new(0x977A_57AC);
-    let mut indexed = PageTableWalker::with_batching(8);
-    let mut naive = PageTableWalker::with_naive_batching(8);
+    let mut indexed: PageTableWalker = PageTableWalker::with_batching(8);
+    let mut naive = PageTableWalker::<NaiveWalkTable>::with_batching(8);
     for window in 0..3u64 {
         let ops = workload(&mut rng, 120);
         let (mut mem_a, space_a, base_a) = environment(false, usize::MAX, true);
@@ -223,8 +224,8 @@ fn identity_holds_across_measurement_windows() {
 #[test]
 fn compaction_is_outcome_neutral_and_bounds_the_live_set() {
     let mut rng = DeterministicRng::new(0x977A_C04A);
-    let mut compacted = PageTableWalker::with_batching(8);
-    let mut reference = PageTableWalker::with_batching(8);
+    let mut compacted: PageTableWalker = PageTableWalker::with_batching(8);
+    let mut reference: PageTableWalker = PageTableWalker::with_batching(8);
     let (mut mem_a, space_a, base_a) = environment(false, usize::MAX, true);
     let (mut mem_b, space_b, base_b) = environment(false, usize::MAX, true);
     let mut t = 0u64;
@@ -266,9 +267,39 @@ fn compaction_is_outcome_neutral_and_bounds_the_live_set() {
     );
 }
 
+/// The indexed table with its probe made end-inclusive: a window whose
+/// read completes exactly at `now` wrongly serves the walk.
+#[derive(Clone, Debug, Default)]
+struct EndInclusiveTable(WalkTable);
+
+impl WalkStore for EndInclusiveTable {
+    fn probe(&self, pte_addr: u64, now: u64) -> Option<(u64, u64)> {
+        let ends_now = || self.0.probe(pte_addr, now.checked_sub(1)?);
+        self.0.probe(pte_addr, now).or_else(ends_now)
+    }
+    fn in_flight_at(&self, now: u64) -> usize {
+        self.0.in_flight_at(now)
+    }
+    fn hold(&mut self, pte_addr: u64, value: u64, issued: u64, complete: u64) {
+        self.0.hold(pte_addr, value, issued, complete);
+    }
+    fn event_count(&self) -> usize {
+        self.0.event_count()
+    }
+    fn events_peak(&self) -> usize {
+        self.0.events_peak()
+    }
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+}
+
 /// The harness has teeth: an injected completion-window off-by-one
-/// (probe-time completion edges widened by one cycle, turning
-/// `[issued, complete)` windows end-inclusive) diverges from the reference
+/// (the [`EndInclusiveTable`] store, turning `[issued, complete)` windows
+/// end-inclusive) diverges from the reference
 /// once a walk lands exactly on a recorded completion instant. The arrival
 /// sweep guarantees one does: every instant up to the first walk's
 /// completion is probed, and the root-level PTE read of every walk shares
@@ -277,9 +308,8 @@ fn compaction_is_outcome_neutral_and_bounds_the_live_set() {
 fn identity_harness_catches_an_injected_completion_window_off_by_one() {
     let (mut mem_a, space_a, base_a) = environment(false, usize::MAX, false);
     let (mut mem_b, space_b, base_b) = environment(false, usize::MAX, false);
-    let mut skewed = PageTableWalker::with_batching(8);
-    skewed.debug_probe_skew(1);
-    let mut naive = PageTableWalker::with_naive_batching(8);
+    let mut skewed = PageTableWalker::<EndInclusiveTable>::with_batching(8);
+    let mut naive = PageTableWalker::<NaiveWalkTable>::with_batching(8);
 
     let first = skewed
         .walk_at(&mut mem_a, space_a.root(), base_a, false, Cycles::ZERO)

@@ -91,9 +91,10 @@
 //! once ([`CreditPort::admit_at`]) and records the credit at exactly that
 //! point ([`CreditPort::record_at`]): the request credit at the admission
 //! found from the arrival, the response credit at the final placement the
-//! loop settled on. The retained [`crate::NaiveFabric`] acquires through
-//! [`CreditPort::acquire`], which repeats each query, and the
-//! `fabric_identity` suite pins the two together.
+//! loop settled on. The linear-scan reference fabric in the dev-only
+//! `sva_reference` crate acquires through [`CreditPort::acquire`], which
+//! repeats each query, and the `fabric_identity` suite pins the two
+//! together.
 //!
 //! # Host and PTW traffic on the timeline
 //!
@@ -131,8 +132,8 @@
 //! range probe returns the latest conflicting reservation end — finished
 //! history is invisible to the probe instead of being re-scanned on every
 //! retry — and the arbiter's slot/weight/membership lookups on the grant
-//! path are O(1) caches. The engine is cycle-identical to the retained
-//! reference implementation ([`crate::NaiveFabric`], the original
+//! path are O(1) caches. The engine is cycle-identical to the reference
+//! implementation in the dev-only `sva_reference` crate (the original
 //! scan-with-retry algorithm); the `fabric_identity` property suite pins
 //! that identity on randomized workloads across every arbitration policy.
 //!
@@ -145,7 +146,6 @@
 //! [`Fabric::compacted_events`] / [`Fabric::watermark`], mirroring
 //! [`sva_common::TimedQueue`].
 
-use serde::{Deserialize, Serialize};
 use sva_common::{
     ArbitrationPolicy, CreditPort, Cycles, InitiatorClass, InitiatorId, InitiatorStats, MemPortReq,
     PortTiming, ReservationIndex,
@@ -154,7 +154,7 @@ use sva_common::{
 use crate::channels::{ChannelStats, DramChannelConfig};
 
 /// Configuration of the fabric arbitration layer.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FabricConfig {
     /// When `true`, cross-initiator queueing delay (waiting for the shared
     /// data bus) is added to returned latencies. Off by default so
@@ -234,7 +234,7 @@ impl GrantOutcome {
 }
 
 /// Snapshot of one initiator's accounting, labelled by identity.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct InitiatorSnapshot {
     /// Who the numbers belong to.
     pub id: InitiatorId,

@@ -11,14 +11,13 @@
 //! The model is a tag-only write-back cache plus the hit/refill timing used
 //! by [`crate::system::MemorySystem`].
 
-use serde::{Deserialize, Serialize};
 use sva_common::stats::HitMiss;
 use sva_common::{Cycles, PhysAddr, CACHE_LINE_SIZE, KIB};
 
 use crate::cache::{Cache, CacheConfig, CacheOutcome};
 
 /// Configuration of the last-level cache.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct LlcConfig {
     /// Total capacity in bytes (cache + SPM partition).
     pub size_bytes: u64,
@@ -64,7 +63,7 @@ impl Default for LlcConfig {
 
 /// Who issued an LLC access; used only for statistics so the experiments can
 /// report host and PTW hit rates separately.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum LlcRequester {
     /// CVA6 host traffic (through the L1).
     Host,
@@ -75,7 +74,7 @@ pub enum LlcRequester {
 }
 
 /// The last-level cache model.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Llc {
     config: LlcConfig,
     cache: Cache,

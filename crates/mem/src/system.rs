@@ -15,11 +15,10 @@
 //!   use the LLC-bypass window straight to DRAM; routing them through the
 //!   LLC is possible for ablation (`llc_serves_dma`).
 //!
-//! Arbitration and per-initiator accounting live in [`crate::fabric`];
-//! the legacy per-initiator entry points ([`MemorySystem::host_read`],
-//! [`MemorySystem::ptw_read`], [`MemorySystem::dma_read_burst`], …) are thin
-//! wrappers over [`MemorySystem::access`] kept so call sites can migrate
-//! incrementally.
+//! Arbitration and per-initiator accounting live in [`crate::fabric`].
+//! [`MemorySystem::host_read`] and [`MemorySystem::host_write`] are
+//! shorthands over [`MemorySystem::access`] for the host core's cached
+//! loads and stores.
 //!
 //! Every access arrives at a definite point on the platform's global
 //! simulation clock ([`sva_common::GlobalClock`], shared in via
@@ -31,7 +30,6 @@
 //! All timed accesses also move functional data, so kernels computing on the
 //! simulated memory can be verified bit-exactly against host references.
 
-use serde::{Deserialize, Serialize};
 use sva_axi::addrmap::{AddressMap, RegionKind, DRAM_SIZE};
 use sva_axi::{AccessKind, BusConfig, Crossbar, MasterPort, MemTxn};
 use sva_common::stats::Counter;
@@ -53,7 +51,7 @@ use crate::spm::{Scratchpad, ScratchpadConfig};
 pub type BurstTiming = DramTiming;
 
 /// Configuration of the whole memory system.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MemSysConfig {
     /// Extra DRAM latency inserted by the AXI delayer (the paper's knob).
     pub dram_latency: Cycles,
@@ -168,7 +166,7 @@ impl<'a> MemReq<'a> {
 }
 
 /// Response of a fabric access.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemRsp {
     /// Latency to first data and data-bus occupancy of the access. When
     /// [`FabricConfig::contention_enabled`] is set, the latency includes the
@@ -200,7 +198,7 @@ impl MemRsp {
 }
 
 /// Aggregate statistics of the memory system.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemSysStats {
     /// Timed host accesses served.
     pub host_accesses: u64,
@@ -726,7 +724,7 @@ impl MemorySystem {
     /// Timed + functional host read. Returns the latency seen by the host
     /// (excluding its own L1, which is modelled by the host crate).
     ///
-    /// Compatibility wrapper over [`MemorySystem::access`].
+    /// Shorthand for [`MemorySystem::access`] on the host port.
     ///
     /// # Errors
     ///
@@ -741,7 +739,7 @@ impl MemorySystem {
     /// Writes to uncached regions are posted: the host only pays the bus
     /// occupancy plus a small store-buffer cost, not the full DRAM latency.
     ///
-    /// Compatibility wrapper over [`MemorySystem::access`].
+    /// Shorthand for [`MemorySystem::access`] on the host port.
     ///
     /// # Errors
     ///
@@ -749,57 +747,6 @@ impl MemorySystem {
     pub fn host_write(&mut self, addr: PhysAddr, buf: &[u8]) -> Result<Cycles> {
         let rsp = self.access(MemReq::write(InitiatorId::Host, addr, buf))?;
         Ok(rsp.latency())
-    }
-
-    /// Timed + functional 8-byte read on the IOMMU page-table-walk port.
-    ///
-    /// Returns the page-table entry value and the latency of the access.
-    ///
-    /// Compatibility wrapper over [`MemorySystem::access`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error if `addr` is not memory-backed.
-    pub fn ptw_read(&mut self, addr: PhysAddr) -> Result<(u64, Cycles)> {
-        let mut buf = [0u8; 8];
-        let rsp = self.access(MemReq::read(InitiatorId::Ptw, addr, &mut buf))?;
-        Ok((u64::from_le_bytes(buf), rsp.latency()))
-    }
-
-    /// Timed + functional DMA burst read (device port).
-    ///
-    /// `addr` is the physical address after IOMMU translation (or the bypass
-    /// bus address when translation is disabled).
-    ///
-    /// Compatibility wrapper over [`MemorySystem::access`] presenting DMA
-    /// device 0; the cluster DMA engines call [`MemorySystem::access`]
-    /// directly with their own device identity and issue time.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error if the burst does not decode to memory.
-    pub fn dma_read_burst(&mut self, addr: PhysAddr, buf: &mut [u8]) -> Result<BurstTiming> {
-        let rsp = self.access(MemReq::read(InitiatorId::dma(0), addr, buf).burst())?;
-        Ok(BurstTiming {
-            latency: rsp.timing.latency,
-            occupancy: rsp.timing.occupancy,
-        })
-    }
-
-    /// Timed + functional DMA burst write (device port).
-    ///
-    /// Compatibility wrapper over [`MemorySystem::access`]; see
-    /// [`MemorySystem::dma_read_burst`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error if the burst does not decode to memory.
-    pub fn dma_write_burst(&mut self, addr: PhysAddr, buf: &[u8]) -> Result<BurstTiming> {
-        let rsp = self.access(MemReq::write(InitiatorId::dma(0), addr, buf).burst())?;
-        Ok(BurstTiming {
-            latency: rsp.timing.latency,
-            occupancy: rsp.timing.occupancy,
-        })
     }
 
     fn dma_burst_timing(
@@ -867,6 +814,19 @@ impl Default for MemorySystem {
 mod tests {
     use super::*;
     use sva_axi::addrmap::{DRAM_BASE, L2_SPM_BASE, LLC_BYPASS_OFFSET};
+
+    /// An 8-byte read on the page-table-walk port: `(value, latency)`.
+    fn pte_read(m: &mut MemorySystem, addr: PhysAddr) -> (u64, Cycles) {
+        let mut buf = [0u8; 8];
+        let rsp = m.access(MemReq::read(InitiatorId::Ptw, addr, &mut buf));
+        (u64::from_le_bytes(buf), rsp.unwrap().latency())
+    }
+
+    /// A DMA burst read on device 0's port.
+    fn dma_read(m: &mut MemorySystem, addr: PhysAddr, buf: &mut [u8]) -> PortTiming {
+        let req = MemReq::read(InitiatorId::dma(0), addr, buf).burst();
+        m.access(req).unwrap().timing
+    }
 
     fn sys(latency: u64, llc: bool) -> MemorySystem {
         MemorySystem::new(MemSysConfig {
@@ -962,8 +922,8 @@ mod tests {
         let mut buf = [0u8; 8];
         with_llc.host_read(pte_addr, &mut buf).unwrap();
 
-        let (v1, t1) = with_llc.ptw_read(pte_addr).unwrap();
-        let (v2, t2) = without.ptw_read(pte_addr).unwrap();
+        let (v1, t1) = pte_read(&mut with_llc, pte_addr);
+        let (v2, t2) = pte_read(&mut without, pte_addr);
         assert_eq!(v1, 0x55);
         assert_eq!(v2, 0x55);
         assert!(
@@ -987,7 +947,7 @@ mod tests {
         let pte_addr = PhysAddr::new(DRAM_BASE + 0x2000);
         let mut buf = [0u8; 8];
         m.host_read(pte_addr, &mut buf).unwrap();
-        let (_, t) = m.ptw_read(pte_addr).unwrap();
+        let (_, t) = pte_read(&mut m, pte_addr);
         assert!(t.raw() > 1000);
     }
 
@@ -996,9 +956,10 @@ mod tests {
         let mut m = sys(200, true);
         let bypass = PhysAddr::new(DRAM_BASE + LLC_BYPASS_OFFSET + 0x10_0000);
         let data: Vec<u8> = (0..2048u32).map(|i| (i % 251) as u8).collect();
-        let tw = m.dma_write_burst(bypass, &data).unwrap();
+        let write = MemReq::write(InitiatorId::dma(0), bypass, &data).burst();
+        let tw = m.access(write).unwrap().timing;
         let mut back = vec![0u8; 2048];
-        let tr = m.dma_read_burst(bypass, &mut back).unwrap();
+        let tr = dma_read(&mut m, bypass, &mut back);
         assert_eq!(back, data);
         assert_eq!(tr.occupancy, Cycles::new(256));
         assert!(tr.latency.raw() > 200);
@@ -1012,7 +973,7 @@ mod tests {
         let mut m = sys(200, true);
         let bypass = PhysAddr::new(DRAM_BASE + LLC_BYPASS_OFFSET);
         let mut buf = [0u8; 64];
-        m.dma_read_burst(bypass, &mut buf).unwrap();
+        dma_read(&mut m, bypass, &mut buf);
         assert_eq!(m.llc().unwrap().stats(LlcRequester::Dma).total(), 0);
     }
 
@@ -1027,9 +988,9 @@ mod tests {
         // Cached window address so the ablation path actually caches it.
         let addr = PhysAddr::new(DRAM_BASE + 0x20_0000);
         let mut buf = vec![0u8; 2048];
-        let t_ablate = ablate.dma_read_burst(addr, &mut buf).unwrap();
+        let t_ablate = dma_read(&mut ablate, addr, &mut buf);
         let bypass = PhysAddr::new(DRAM_BASE + LLC_BYPASS_OFFSET + 0x20_0000);
-        let t_normal = normal.dma_read_burst(bypass, &mut buf).unwrap();
+        let t_normal = dma_read(&mut normal, bypass, &mut buf);
         // Refilling 32 lines sequentially is far slower than one long burst.
         assert!(t_ablate.latency.raw() > 4 * t_normal.latency.raw());
         assert!(ablate.llc().unwrap().stats(LlcRequester::Dma).total() > 0);
@@ -1064,7 +1025,7 @@ mod tests {
             }
             let mut total = 0;
             for i in 0..200u64 {
-                let (_, t) = m.ptw_read(pte_addr + i * 8).unwrap();
+                let (_, t) = pte_read(&mut m, pte_addr + i * 8);
                 total += t.raw();
             }
             total
@@ -1087,7 +1048,7 @@ mod tests {
         let bypass = PhysAddr::new(DRAM_BASE + LLC_BYPASS_OFFSET + 0x10_0000);
         let mut buf = [0u8; 2048];
         for _ in 0..4 {
-            m.dma_read_burst(bypass, &mut buf).unwrap();
+            dma_read(&mut m, bypass, &mut buf);
             m.clock().advance(Cycles::new(2000));
         }
         m.compact_fabric_before(m.clock().now());
@@ -1100,7 +1061,7 @@ mod tests {
         assert_eq!(m.fabric().compacted_events(), folded, "run total survives");
         // Cycle 0 of the new window — far below the old watermark — takes a
         // fresh reservation without queueing.
-        m.dma_read_burst(bypass, &mut buf).unwrap();
+        dma_read(&mut m, bypass, &mut buf);
         assert_eq!(m.fabric().event_count(), 1);
         assert_eq!(m.fabric().total().queue_cycles, 0);
     }

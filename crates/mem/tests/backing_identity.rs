@@ -17,12 +17,17 @@
 //! * periodic `clear` (generation bump on the indexed engine),
 //! * out-of-bounds attempts, asserting both engines reject them,
 //!
-//! and proves the harness has teeth by catching an injected stale-memo bug
-//! (`debug_freeze_memo`, per the PR 8/9 discipline).
+//! and proves the harness has teeth: the memo staleness window (read an
+//! absent frame, materialise it, read it back) that [`SparseMemory`] must
+//! pass catches a test-side store whose last-frame memo is left stale by
+//! writes.
+
+use std::cell::RefCell;
 
 use sva_common::rng::DeterministicRng;
 use sva_common::PAGE_SIZE;
-use sva_mem::{NaiveSparseMemory, SparseMemory};
+use sva_mem::SparseMemory;
+use sva_reference::NaiveSparseMemory;
 
 const CAPACITY: u64 = 64 * PAGE_SIZE;
 
@@ -184,38 +189,83 @@ fn direct_map_store_is_identical_to_naive_reference() {
     assert_ne!(total, 0, "lockstep sequences never observed any data");
 }
 
+/// The typed accessors the staleness-window driver exercises.
+trait TypedStore {
+    fn read_u64(&self, offset: u64) -> u64;
+    fn write_u64(&mut self, offset: u64, value: u64);
+}
+
+impl TypedStore for SparseMemory {
+    fn read_u64(&self, offset: u64) -> u64 {
+        SparseMemory::read_u64(self, offset).unwrap()
+    }
+    fn write_u64(&mut self, offset: u64, value: u64) {
+        SparseMemory::write_u64(self, offset, value).unwrap();
+    }
+}
+
+/// The hash-map store behind a last-frame memo that writes never refresh:
+/// a read caches its frame's bytes, and a later write to that frame leaves
+/// the cached copy in place, so the read-back serves the old bytes.
+struct StaleMemoStore {
+    inner: NaiveSparseMemory,
+    memo: RefCell<Option<(u64, Vec<u8>)>>,
+}
+
+impl TypedStore for StaleMemoStore {
+    fn read_u64(&self, offset: u64) -> u64 {
+        let frame = offset / PAGE_SIZE;
+        let mut memo = self.memo.borrow_mut();
+        if memo.as_ref().is_none_or(|(f, _)| *f != frame) {
+            let mut bytes = vec![0u8; PAGE_SIZE as usize];
+            self.inner.read(frame * PAGE_SIZE, &mut bytes).unwrap();
+            *memo = Some((frame, bytes));
+        }
+        let at = (offset % PAGE_SIZE) as usize;
+        let bytes = &memo.as_ref().unwrap().1[at..at + 8];
+        u64::from_le_bytes(bytes.try_into().unwrap())
+    }
+    fn write_u64(&mut self, offset: u64, value: u64) {
+        self.inner.write_u64(offset, value).unwrap();
+    }
+}
+
+/// Drives the memo staleness window on every frame against the reference:
+/// observe the absent frame (both read zero), materialise it with a
+/// nonzero value, read it back. A memo a write fails to refresh serves
+/// the stale zeros.
+fn assert_staleness_window_matches(store: &mut impl TypedStore) {
+    let mut naive = NaiveSparseMemory::new(CAPACITY);
+    for frame in 0..CAPACITY / PAGE_SIZE {
+        let offset = frame * PAGE_SIZE + 8;
+        assert_eq!(store.read_u64(offset), naive.read_u64(offset).unwrap());
+        store.write_u64(offset, 0xDEAD_BEEF_0000 + frame);
+        naive.write_u64(offset, 0xDEAD_BEEF_0000 + frame).unwrap();
+        assert_eq!(
+            store.read_u64(offset),
+            naive.read_u64(offset).unwrap(),
+            "stale-memo divergence in frame {frame}"
+        );
+    }
+}
+
+#[test]
+fn direct_map_store_refreshes_its_memo_on_materialising_writes() {
+    assert_staleness_window_matches(&mut SparseMemory::new(CAPACITY));
+}
+
 #[test]
 fn lockstep_catches_injected_stale_memo() {
-    // Teeth: freeze the memo refresh on the indexed engine (materialising
-    // writes stop updating the cached frame presence) and drive the exact
-    // staleness window through the same lockstep comparators: a read of an
-    // absent frame caches "absent" in the memo, a write then materialises
-    // the frame without refreshing it, and the read-back is served from the
-    // stale memo — zeros instead of the written bytes. This is precisely the
-    // class of bug the memo design must never exhibit (present-memos cannot
-    // go stale because frames only vanish via `clear`, which bumps the
-    // generation); the suite must detect it the moment it is injected.
+    // Teeth: the driver that passes on the direct-map store must fail on a
+    // memo that goes stale on writes. The direct-map memo cannot (frames
+    // only vanish via `clear`, which bumps the generation, and the write
+    // that materialises a frame refreshes an "absent" memo).
     let caught = std::panic::catch_unwind(|| {
-        let mut indexed = SparseMemory::new(CAPACITY);
-        let mut naive = NaiveSparseMemory::new(CAPACITY);
-        indexed.debug_freeze_memo();
-        for frame in 0..CAPACITY / PAGE_SIZE {
-            let offset = frame * PAGE_SIZE + 8;
-            // 1. Observe the absent frame (both engines agree: zero).
-            assert_eq!(
-                indexed.read_u64(offset).unwrap(),
-                naive.read_u64(offset).unwrap()
-            );
-            // 2. Materialise it with a nonzero value on both engines.
-            indexed.write_u64(offset, 0xDEAD_BEEF_0000 + frame).unwrap();
-            naive.write_u64(offset, 0xDEAD_BEEF_0000 + frame).unwrap();
-            // 3. Lockstep read-back: the frozen memo serves stale zeros.
-            assert_eq!(
-                indexed.read_u64(offset).unwrap(),
-                naive.read_u64(offset).unwrap(),
-                "stale-memo divergence in frame {frame}"
-            );
-        }
+        let mut mutant = StaleMemoStore {
+            inner: NaiveSparseMemory::new(CAPACITY),
+            memo: RefCell::new(None),
+        };
+        assert_staleness_window_matches(&mut mutant);
     })
     .is_err();
     assert!(

@@ -26,7 +26,8 @@ use sva_common::{
     ArbitrationPolicy, Cycles, InitiatorId, MemPortReq, PhysAddr, PortTiming, QueueDepths,
 };
 use sva_mem::channels::DramChannelConfig;
-use sva_mem::{Fabric, FabricConfig, GrantOutcome, NaiveFabric};
+use sva_mem::{Fabric, FabricConfig, GrantOutcome};
+use sva_reference::NaiveFabric;
 
 /// One timed access: the request and its port timing.
 #[derive(Clone, Debug)]

@@ -1,7 +1,7 @@
 //! The retained hash-map sparse-store engine, kept as the executable
-//! reference for the direct-map [`SparseMemory`](crate::SparseMemory).
+//! reference for the direct-map [`SparseMemory`](sva_mem::SparseMemory).
 //!
-//! This is the pre-PR-10 per-frame `HashMap` engine verbatim: every touched
+//! This is the original per-frame `HashMap` engine verbatim: every touched
 //! frame costs a hash probe and every access runs the generic byte-chunk
 //! loop (the typed accessors are thin wrappers over it, exactly as they
 //! were). The one deliberate deviation from the old code is the shared

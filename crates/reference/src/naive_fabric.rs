@@ -1,9 +1,10 @@
 //! The retained linear-scan reference placement engine of the fabric.
 //!
-//! [`NaiveFabric`] is the original [`crate::Fabric`] placement algorithm,
-//! kept verbatim (not test-gated) as the **executable specification** the
-//! indexed engine is verified against — exactly the discipline
-//! `sva_common::NaiveTimedQueue` established for the queue engine:
+//! [`NaiveFabric`] is the original [`Fabric`](sva_mem::Fabric) placement
+//! algorithm, kept verbatim as the **executable specification** the indexed
+//! engine is verified against — exactly the discipline
+//! [`NaiveTimedQueue`](crate::NaiveTimedQueue) established for the queue
+//! engine:
 //!
 //! * the per-channel reservation timeline is a `BTreeMap` keyed by
 //!   `(start, seq)`, and every placement retry range-scans the start window
@@ -16,12 +17,12 @@
 //!   `timed_order.contains` on every occupying grant.
 //!
 //! The property suite (`crates/mem/tests/fabric_identity.rs`) drives this
-//! model and the indexed [`crate::Fabric`] on randomized workloads across
+//! model and the indexed [`sva_mem::Fabric`] on randomized workloads across
 //! every arbitration policy and demands bit-identical grant outcomes and
 //! statistics; the `simspeed` perf gate records the indexed engine's
 //! throughput multiple over this baseline. Do not use it on hot paths, and
 //! keep its placement semantics frozen — behavioural changes belong in
-//! [`crate::Fabric`] *with* a matching update here only when the simulated
+//! [`sva_mem::Fabric`] *with* a matching update here only when the simulated
 //! timing model itself is deliberately changed.
 
 use std::collections::BTreeMap;
@@ -31,8 +32,7 @@ use sva_common::{
     PortTiming,
 };
 
-use crate::channels::ChannelStats;
-use crate::fabric::{FabricConfig, GrantOutcome};
+use sva_mem::{ChannelStats, FabricConfig, GrantOutcome};
 
 /// The data-bus timeline, channel queues and accounting of one DRAM channel
 /// under the reference engine.
@@ -147,13 +147,13 @@ impl NaiveFabric {
     }
 
     /// Grants one access, discarding the issue-stall component (mirrors
-    /// [`crate::Fabric::grant`]).
+    /// [`sva_mem::Fabric::grant`]).
     pub fn grant(&mut self, req: &MemPortReq, timing: PortTiming) -> Cycles {
         self.admit(req, timing).queue
     }
 
     /// Admits one access through the split-transaction flow of its channel
-    /// — the exact contract of [`crate::Fabric::admit`], placed by the
+    /// — the exact contract of [`sva_mem::Fabric::admit`], placed by the
     /// original one-conflict-at-a-time start-window scan.
     pub fn admit(&mut self, req: &MemPortReq, timing: PortTiming) -> GrantOutcome {
         let slot = self.slot(req.initiator);
@@ -329,7 +329,7 @@ impl NaiveFabric {
     }
 
     /// Drops every channel's reservations while keeping all accumulated
-    /// statistics (mirrors [`crate::Fabric::clear_timelines`]).
+    /// statistics (mirrors [`sva_mem::Fabric::clear_timelines`]).
     pub fn clear_timelines(&mut self) {
         for ch in &mut self.channels {
             ch.reservations.clear();

@@ -39,7 +39,9 @@ fn per_initiator_stats_sum_to_global() {
                     mem.host_write(addr, &[1u8; 8]).unwrap();
                 }
                 2 => {
-                    mem.ptw_read(addr).unwrap();
+                    let mut buf = [0u8; 8];
+                    mem.access(MemReq::read(InitiatorId::Ptw, addr, &mut buf))
+                        .unwrap();
                 }
                 _ => {
                     let device = 1 + 2 * case_rng.next_below(4) as u32;
@@ -101,8 +103,8 @@ fn wrapper_and_access_paths_are_cycle_identical() {
                 mem.host_read(addr, &mut buf).unwrap().raw()
             };
             latencies.push(lat);
-            let (_, ptw) = mem.ptw_read(addr).unwrap();
-            latencies.push(ptw.raw());
+            let ptw = mem.access(MemReq::read(InitiatorId::Ptw, addr, &mut buf));
+            latencies.push(ptw.unwrap().latency().raw());
         }
         (
             latencies,

@@ -7,7 +7,6 @@
 //! same page table through the IOMMU device context, so the buffers allocated
 //! here are directly addressable by the device.
 
-use serde::{Deserialize, Serialize};
 use sva_common::{Error, PhysAddr, Result, VirtAddr, PAGE_SIZE};
 use sva_mem::MemorySystem;
 
@@ -21,7 +20,7 @@ const USER_HEAP_BASE: u64 = 0x1000_0000;
 
 /// A user process address space: page table plus a simple `malloc`-style
 /// virtual allocator.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AddressSpace {
     page_table: PageTable,
     heap_next: VirtAddr,
@@ -31,7 +30,7 @@ pub struct AddressSpace {
 }
 
 /// A buffer allocated in an address space.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct UserBuffer {
     /// Virtual base address (page-aligned).
     pub va: VirtAddr,
