@@ -18,14 +18,14 @@
 //! Early revisions stored the raw interval list and answered every query with
 //! a full linear scan — O(entries) per push and O(n²) per measurement window,
 //! which became the simulator's bottleneck at serving scale. The engine is
-//! now an **event-indexed occupancy timeline**: a `BTreeMap<u64, Boundary>`
-//! of boundary events (`+1` delta at an interval's enter, `−1` at its exit)
-//! that eagerly maintains the **running prefix** of those deltas — each
-//! boundary stores the occupancy level holding on `[boundary, next
-//! boundary)`. Queries become O(log n) range walks from the query point:
+//! now an **event-indexed occupancy timeline**: an ordered map of boundary
+//! events (`+1` delta at an interval's enter, `−1` at its exit) that eagerly
+//! maintains the **running prefix** of those deltas — each boundary stores
+//! the occupancy level holding on `[boundary, next boundary)`. Queries
+//! become O(log n) range walks from the query point:
 //!
 //! * [`TimedQueue::occupancy_at`] is one floor lookup;
-//! * [`TimedQueue::admit_at`] is at most one descent: an arrival at or past
+//! * [`TimedQueue::admit_at`] is at most one lookup: an arrival at or past
 //!   the latest exit answers without touching the index, anything earlier
 //!   walks boundaries forward from the arrival until the level drops below
 //!   the depth (occupancy only changes at a boundary, so the admission
@@ -52,6 +52,23 @@
 //! their *end* so finished history is invisible to the probe, and carries
 //! the same watermark-compaction discipline (see its type docs).
 //!
+//! # The ordered map underneath
+//!
+//! Both engines store their keys in one private flat ordered map (the
+//! `runs` submodule): contiguous sorted runs of a few dozen entries, split in
+//! half when they outgrow that (an append past the last key opens a new run
+//! instead, so time-ordered inserts leave full runs), plus a binary-searched
+//! array of each run's first key. A timeline holds a few thousand keys and a query touches a
+//! handful, so the cost of an ordered map here is its constant factor: two
+//! binary searches over flat memory and a slice walk replace a tree descent
+//! that chases a pointer per level. The map serves exactly the operations
+//! the engines use — floor, a forward walk from the first key above an
+//! instant, in-place mutation over a key range, get-or-insert and draining
+//! every key below a watermark. An insertion shifts at most one run's
+//! entries; the rare split also shifts the two top-level arrays by a slot.
+//! A seeded lockstep suite checks the map against the standard library's
+//! B-tree map as its specification.
+//!
 //! [`CreditPort`] is the initiator-facing handle: a cheap, cloneable
 //! reference onto one shared [`TimedQueue`]. An initiator (or the fabric
 //! acting on its behalf) must **acquire** a credit for every request it
@@ -72,12 +89,13 @@
 //! reproduces the pure reservation model cycle-for-cycle (nothing ever
 //! stalls, and the queue machinery is skipped entirely).
 
+mod runs;
+
 use core::cell::RefCell;
 use core::fmt;
-use std::collections::BTreeMap;
-use std::ops::Bound::{Excluded, Unbounded};
 use std::rc::Rc;
 
+use self::runs::SortedRuns;
 use crate::cycles::Cycles;
 
 /// Depth configuration of one channel's request and response queues.
@@ -163,8 +181,8 @@ struct Boundary {
 /// recorded, so the unbounded queue costs nothing.
 ///
 /// See the module documentation for the engine: boundary deltas with an
-/// eagerly maintained running prefix in a `BTreeMap`, plus watermark
-/// compaction ([`TimedQueue::compact_before`]).
+/// eagerly maintained running prefix in a flat sorted-run map, plus
+/// watermark compaction ([`TimedQueue::compact_before`]).
 #[derive(Clone, Debug, Default)]
 pub struct TimedQueue {
     depth: usize,
@@ -176,7 +194,7 @@ pub struct TimedQueue {
     record: bool,
     /// The event index: boundary instant → (delta, occupancy level on the
     /// half-open span up to the next boundary).
-    timeline: BTreeMap<u64, Boundary>,
+    timeline: SortedRuns<u64, Boundary>,
     /// Occupancy holding below the earliest retained boundary: 0 until
     /// compaction folds finished history into it.
     base: u32,
@@ -243,7 +261,7 @@ impl TimedQueue {
             return 0;
         }
         let t = t.max(self.watermark);
-        let level = self.timeline.range(..=t).next_back();
+        let level = self.timeline.floor(t);
         level.map_or(self.base, |(_, b)| b.occ) as usize
     }
 
@@ -251,7 +269,7 @@ impl TimedQueue {
     /// which a new entry can be admitted **and** the occupancy already
     /// holding at that instant.
     ///
-    /// Costs at most one descent of the event index. At or past the latest
+    /// Costs at most one lookup in the event index. At or past the latest
     /// exit every interval has closed, so the answer is `(t, 0)` without a
     /// lookup. Otherwise one forward range walk starts at the first boundary
     /// after `t`: that boundary directly follows the one holding at `t`, so
@@ -263,7 +281,7 @@ impl TimedQueue {
         if t >= self.max_exit {
             return (t, 0);
         }
-        let mut after = self.timeline.range((Excluded(t), Unbounded)).peekable();
+        let mut after = self.timeline.iter_after(t).peekable();
         // `t < max_exit` and `max_exit` is a retained boundary (it is past
         // the watermark), so a boundary after `t` always exists.
         let level = after
@@ -272,7 +290,7 @@ impl TimedQueue {
         if (level as usize) < self.depth {
             return (t, level as usize);
         }
-        for (&at, b) in after {
+        for (at, b) in after {
             if (b.occ as usize) < self.depth {
                 return (at, b.occ as usize);
             }
@@ -298,7 +316,7 @@ impl TimedQueue {
         debug_assert!(enter >= self.watermark, "insert below the watermark");
         let mut enter_exists = false;
         let mut before_exit = level;
-        for (&k, b) in self.timeline.range_mut(enter..exit) {
+        for (k, b) in self.timeline.range_mut(enter, exit) {
             if k == enter {
                 enter_exists = true;
                 b.delta += 1;
@@ -307,19 +325,15 @@ impl TimedQueue {
             b.occ += 1;
         }
         if !enter_exists {
-            self.timeline.insert(
-                enter,
-                Boundary {
-                    delta: 1,
-                    occ: level + 1,
-                },
-            );
+            self.timeline.get_or_insert_with(enter, || Boundary {
+                delta: 1,
+                occ: level + 1,
+            });
         }
         // The interval does not cover `exit`: a new boundary there keeps the
         // pre-splice level that held just before it.
         self.timeline
-            .entry(exit)
-            .or_insert(Boundary {
+            .get_or_insert_with(exit, || Boundary {
                 delta: 0,
                 occ: before_exit,
             })
@@ -376,13 +390,11 @@ impl TimedQueue {
         if !self.record || w <= self.watermark {
             return;
         }
-        // `split_off` keeps [w, ..) and hands back the compacted prefix.
-        let retained = self.timeline.split_off(&w);
-        let folded = std::mem::replace(&mut self.timeline, retained);
-        if let Some((_, b)) = folded.iter().next_back() {
+        let (folded, last) = self.timeline.drain_before(w);
+        if let Some(b) = last {
             self.base = b.occ;
         }
-        self.compacted_events += folded.len() as u64;
+        self.compacted_events += folded as u64;
         self.watermark = w;
     }
 
@@ -413,9 +425,10 @@ impl TimedQueue {
     /// Panics when the index is inconsistent.
     #[doc(hidden)]
     pub fn debug_validate(&self) {
+        self.timeline.debug_validate();
         let mut level = i64::from(self.base);
         let mut last = 0u32;
-        for (k, b) in &self.timeline {
+        for (k, b) in self.timeline.iter() {
             level += b.delta;
             assert!(level >= 0, "negative occupancy at boundary {k}");
             assert_eq!(
@@ -474,7 +487,8 @@ impl TimedQueue {
 /// priority winners and weighted bypasses land on top of the traffic they
 /// outrank — and carry per-entry payloads, so the boundary-delta engine of
 /// [`TimedQueue`] does not fit; instead the index keys every reservation by
-/// its **end**: `(end, insertion seq) → (start, owner, priority)`.
+/// its **end**, `(end, insertion seq) → (start, owner, priority)`, in the
+/// same flat sorted-run map (see the module documentation).
 ///
 /// Keying by end makes finished history invisible to the hot query: a
 /// reservation with `end <= placed` can never conflict with a placement at
@@ -497,7 +511,7 @@ impl TimedQueue {
 pub struct ReservationIndex {
     /// The end-keyed interval map: `(end, seq)` → `(start, owner, prio)`.
     /// The insertion sequence disambiguates equal ends and starts at 1.
-    by_end: BTreeMap<(u64, u64), (u64, usize, u8)>,
+    by_end: SortedRuns<(u64, u64), (u64, usize, u8)>,
     /// Longest single reservation seen since the last clear, bounding how
     /// far beyond a placement window a conflicting end can lie.
     max_len: u64,
@@ -522,7 +536,8 @@ impl ReservationIndex {
         debug_assert!(end > start, "reservations occupy at least one cycle");
         debug_assert!(start >= self.watermark, "insert below the watermark");
         self.seq += 1;
-        self.by_end.insert((end, self.seq), (start, owner, prio));
+        self.by_end
+            .get_or_insert_with((end, self.seq), || (start, owner, prio));
         self.max_len = self.max_len.max(end - start);
     }
 
@@ -548,14 +563,11 @@ impl ReservationIndex {
         let window_end = placed
             .checked_add(span)
             .and_then(|x| x.checked_add(self.max_len));
-        let upper = match window_end {
-            Some(hi) => Excluded((hi, 0)),
-            None => Unbounded,
-        };
         let mut latest = None;
-        for (&(end, _), &(start, owner, prio)) in
-            self.by_end.range((Excluded((placed, u64::MAX)), upper))
-        {
+        for ((end, _), &(start, owner, prio)) in self.by_end.iter_after((placed, u64::MAX)) {
+            if window_end.is_some_and(|hi| end >= hi) {
+                break;
+            }
             if start < placed.saturating_add(span) && queues_behind(owner, prio) {
                 // The range iterates ends in ascending order, so the last
                 // match is the latest conflicting end.
@@ -576,12 +588,10 @@ impl ReservationIndex {
         if w <= self.watermark {
             return;
         }
-        // `split_off` keeps ends strictly greater than `w` (sequence
-        // numbers start at 1, so `(w + 1, 0)` sorts before every real key
-        // with that end) and hands back the compacted prefix.
-        let retained = self.by_end.split_off(&(w + 1, 0));
-        let folded = std::mem::replace(&mut self.by_end, retained);
-        self.compacted_events += folded.len() as u64;
+        // Keep ends strictly greater than `w`: sequence numbers start at 1,
+        // so `(w + 1, 0)` sorts before every real key with that end.
+        let (folded, _) = self.by_end.drain_before((w + 1, 0));
+        self.compacted_events += folded as u64;
         self.watermark = w;
     }
 
@@ -615,7 +625,8 @@ impl ReservationIndex {
     /// Panics when the index is inconsistent.
     #[doc(hidden)]
     pub fn debug_validate(&self) {
-        for (&(end, seq), &(start, _, _)) in &self.by_end {
+        self.by_end.debug_validate();
+        for ((end, seq), &(start, _, _)) in self.by_end.iter() {
             assert!(end > start, "empty reservation at seq {seq}");
             assert!(end - start <= self.max_len, "max_len undercounts {seq}");
             assert!(end > self.watermark, "compacted entry survived: {seq}");

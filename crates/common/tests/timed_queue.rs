@@ -740,3 +740,48 @@ fn compaction_preserves_results_and_bounds_the_index() {
         );
     }
 }
+
+#[test]
+fn long_out_of_order_batch_with_compaction_matches_the_naive_reference() {
+    // 2 400 pushes from four out-of-order shards, compacted every 500
+    // pushes, keep several hundred boundaries live, so the index spans
+    // dozens of runs. Each compaction folds at the slowest shard's cursor
+    // (no shard arrives below it again): an arbitrary instant, so the fold
+    // nearly always ends inside a run rather than on a run edge. The
+    // reference never compacts.
+    let mut rng = DeterministicRng::new(0x71ED_000C);
+    for depth in [2usize, 4, 16] {
+        let mut indexed = TimedQueue::new(depth);
+        let mut naive = NaiveTimedQueue::new(depth);
+        let mut cursors = [0u64; 4];
+        let mut peak_events = 0;
+        for i in 0..2_400 {
+            let shard = i % cursors.len();
+            cursors[shard] += rng.next_below(30);
+            let enter = cursors[shard];
+            let exit = enter + rng.next_below(200);
+            assert_eq!(
+                indexed.push(enter, exit),
+                naive.push(enter, exit),
+                "depth {depth}, push #{i} [{enter}, {exit})"
+            );
+            peak_events = peak_events.max(indexed.event_count());
+            if i % 500 == 499 {
+                let w = *cursors.iter().min().expect("four shards");
+                indexed.compact_before(w);
+                indexed.debug_validate();
+                for t in (0..40).map(|k| w + k * 13) {
+                    assert_eq!(indexed.occupancy_at(t), naive.occupancy_at(t), "at {t}");
+                    assert_eq!(indexed.admit_at(t).0, naive.admission_at(t), "at {t}");
+                }
+            }
+        }
+        assert!(
+            peak_events > 500,
+            "depth {depth}: only {peak_events} events"
+        );
+        assert!(indexed.compacted_events() > 0, "compaction never fired");
+        assert_eq!(indexed.stall_cycles(), naive.stall_cycles());
+        assert_eq!(indexed.peak(), naive.peak());
+    }
+}

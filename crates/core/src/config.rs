@@ -17,7 +17,7 @@
 use sva_cluster::{ClusterConfig, DmaConfig};
 use sva_common::{ArbitrationPolicy, Cycles, Error, QueueDepths, Result};
 use sva_host::{DriverConfig, HostCpuConfig, HostTrafficConfig, InterferenceLevel};
-use sva_iommu::{IommuConfig, IommuMode, TlbHierarchyConfig};
+use sva_iommu::{DeviceDirectory, IommuConfig, IommuMode, TlbHierarchyConfig};
 use sva_mem::{DramChannelConfig, LlcConfig, MemSysConfig};
 
 /// The three platform variants of the evaluation.
@@ -193,7 +193,9 @@ impl PlatformConfig {
     }
 
     /// Returns a copy with `n` accelerator clusters sharing the IOMMU and
-    /// the memory fabric (`Platform::new` rejects `n = 0`).
+    /// the memory fabric (`Platform::new` rejects `n = 0`, and on a
+    /// translating platform more clusters than the device directory has
+    /// device-ID pairs for — 31 with the default driver device ID).
     pub fn with_clusters(mut self, n: usize) -> Self {
         self.num_clusters = n;
         self
@@ -336,12 +338,14 @@ impl PlatformConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] for a platform without clusters
-    /// (`num_clusters`), a zero-entry IOTLB (`iommu.iotlb_entries`), a DMA
-    /// engine allowed no outstanding bursts (`cluster.dma.max_outstanding`),
-    /// a zero-slot fabric queue (`mem.fabric.req_queue_depth` /
-    /// `mem.fabric.rsp_queue_depth`) or a DRAM backend without channels
-    /// (`mem.fabric.channels.num_channels`).
+    /// Returns [`Error::InvalidConfig`] for a platform without clusters or
+    /// with more translated clusters than the device directory has device
+    /// IDs for (`num_clusters`), a zero-entry IOTLB
+    /// (`iommu.iotlb_entries`), a DMA engine allowed no outstanding bursts
+    /// (`cluster.dma.max_outstanding`), a zero-slot fabric queue
+    /// (`mem.fabric.req_queue_depth` / `mem.fabric.rsp_queue_depth`), a DRAM
+    /// backend without channels (`mem.fabric.channels.num_channels`) or an
+    /// empty or zero weight list (`mem.fabric.policy`).
     pub(crate) fn validate(&self) -> Result<()> {
         let reject = |reason: &str| {
             Err(Error::InvalidConfig {
@@ -350,6 +354,19 @@ impl PlatformConfig {
         };
         if self.num_clusters == 0 {
             return reject("num_clusters (with_clusters) must be at least 1");
+        }
+        // A translating platform gives cluster `i` the device IDs
+        // `device_id + 2i` (data) and `device_id + 2i + 1` (instruction
+        // fetch), each needing a context slot in the one-page directory.
+        let max_clusters =
+            (DeviceDirectory::CAPACITY.saturating_sub(self.driver.device_id) / 2) as usize;
+        if self.iommu.mode == IommuMode::Translating && self.num_clusters > max_clusters {
+            return reject(&format!(
+                "num_clusters (with_clusters) must be at most {max_clusters}: the device \
+                 directory holds {} contexts and each cluster takes two device IDs from {}",
+                DeviceDirectory::CAPACITY,
+                self.driver.device_id
+            ));
         }
         if self.iommu.iotlb_entries == 0 {
             return reject("iommu.iotlb_entries (with_iotlb_entries) must be at least 1");
@@ -367,6 +384,14 @@ impl PlatformConfig {
             return reject(
                 "mem.fabric.channels.num_channels (with_memory_channels) must be at least 1",
             );
+        }
+        if let ArbitrationPolicy::Weighted(weights) = &self.mem.fabric.policy {
+            if weights.is_empty() || weights.contains(&0) {
+                return reject(
+                    "mem.fabric.policy (with_arbitration) must list at least one Weighted \
+                     weight, each at least 1",
+                );
+            }
         }
         Ok(())
     }

@@ -98,10 +98,11 @@ impl Platform {
     /// # Errors
     ///
     /// Returns [`sva_common::Error::InvalidConfig`], naming the knob, for a
-    /// zero-entry IOTLB, a DMA engine allowed no outstanding bursts, a
-    /// zero-slot fabric queue or a DRAM backend without channels, and
-    /// allocation failures while setting up the address space or the IOMMU
-    /// structures.
+    /// cluster count of zero or past the device-ID ceiling, a zero-entry
+    /// IOTLB, a DMA engine allowed no outstanding bursts, a zero-slot fabric
+    /// queue, a DRAM backend without channels or an empty or zero weight
+    /// list, and allocation failures while setting up the address space or
+    /// the IOMMU structures.
     pub fn new(config: PlatformConfig) -> Result<Self> {
         config.validate()?;
         let clock = GlobalClock::new();
@@ -194,6 +195,7 @@ impl Platform {
 mod tests {
     use super::*;
     use crate::config::SocVariant;
+    use sva_common::ArbitrationPolicy;
 
     fn rejected_knob(config: PlatformConfig) -> String {
         match Platform::new(config) {
@@ -239,6 +241,44 @@ mod tests {
     fn zero_clusters_are_rejected_by_name() {
         let reason = rejected_knob(PlatformConfig::iommu_with_llc(200).with_clusters(0));
         assert!(reason.contains("num_clusters (with_clusters)"), "{reason}");
+    }
+
+    #[test]
+    fn clusters_past_the_device_id_ceiling_are_rejected_by_name() {
+        // 64 directory slots, device IDs from 1, two per cluster: the last
+        // accepted cluster takes IDs 61 and 62, and a 32nd would need 64.
+        let platform = Platform::new(PlatformConfig::iommu_with_llc(200).with_clusters(31))
+            .expect("31 clusters fit the device directory");
+        assert_eq!(platform.cluster_device_id(30) + 1, 62);
+        let reason = rejected_knob(PlatformConfig::iommu_with_llc(200).with_clusters(32));
+        assert!(reason.contains("num_clusters (with_clusters)"), "{reason}");
+        assert!(reason.contains("at most 31"), "{reason}");
+        // Without translation no device context is installed.
+        assert!(Platform::new(PlatformConfig::baseline(200).with_clusters(32)).is_ok());
+    }
+
+    #[test]
+    fn empty_weighted_policy_is_rejected_by_name() {
+        let reason = rejected_knob(
+            PlatformConfig::iommu_with_llc(200)
+                .with_arbitration(ArbitrationPolicy::Weighted(vec![])),
+        );
+        assert!(
+            reason.contains("mem.fabric.policy (with_arbitration)"),
+            "{reason}"
+        );
+    }
+
+    #[test]
+    fn zero_weighted_weight_is_rejected_by_name() {
+        let reason = rejected_knob(
+            PlatformConfig::iommu_with_llc(200)
+                .with_arbitration(ArbitrationPolicy::Weighted(vec![2, 0])),
+        );
+        assert!(
+            reason.contains("mem.fabric.policy (with_arbitration)"),
+            "{reason}"
+        );
     }
 
     #[test]

@@ -88,7 +88,6 @@ impl DeviceContext {
 #[derive(Clone, Debug)]
 pub struct DeviceDirectory {
     base: PhysAddr,
-    capacity: u32,
     cache: Option<(u32, DeviceContext)>,
     cache_stats: HitMiss,
     installed: Vec<u32>,
@@ -106,11 +105,14 @@ impl DeviceDirectory {
         Ok(Self::from_base(base))
     }
 
+    /// Number of device contexts a one-page, single-level directory holds
+    /// (device IDs `0..CAPACITY`).
+    pub const CAPACITY: u32 = (4096 / DEVICE_CONTEXT_BYTES) as u32;
+
     /// Wraps an existing directory page.
     pub const fn from_base(base: PhysAddr) -> Self {
         Self {
             base,
-            capacity: (4096 / DEVICE_CONTEXT_BYTES) as u32,
             cache: None,
             cache_stats: HitMiss::new(),
             installed: Vec::new(),
@@ -129,11 +131,11 @@ impl DeviceDirectory {
 
     /// Number of device contexts the single-level directory can hold.
     pub const fn capacity(&self) -> u32 {
-        self.capacity
+        Self::CAPACITY
     }
 
     fn slot_addr(&self, device_id: u32) -> Result<PhysAddr> {
-        if device_id >= self.capacity {
+        if device_id >= Self::CAPACITY {
             return Err(Error::UnknownDevice { device_id });
         }
         Ok(self.base + device_id as u64 * DEVICE_CONTEXT_BYTES)

@@ -146,12 +146,6 @@ impl NaiveFabric {
         }
     }
 
-    /// Grants one access, discarding the issue-stall component (mirrors
-    /// [`sva_mem::Fabric::grant`]).
-    pub fn grant(&mut self, req: &MemPortReq, timing: PortTiming) -> Cycles {
-        self.admit(req, timing).queue
-    }
-
     /// Admits one access through the split-transaction flow of its channel
     /// — the exact contract of [`sva_mem::Fabric::admit`], placed by the
     /// original one-conflict-at-a-time start-window scan.
