@@ -507,9 +507,11 @@ mod tests {
             let data: Vec<u8> = (0..len).map(|i| (i % 239) as u8).collect();
             space.write_virt(&mut mem, va, &data).unwrap();
 
+            let hierarchy = TlbHierarchyConfig::default();
             let mut iommu = Iommu::new(IommuConfig {
                 demand_paging: demand,
-                tlb_hierarchy: Some(TlbHierarchyConfig::default()),
+                atc: Some(hierarchy.l1),
+                iotlb: hierarchy.l2,
                 ..IommuConfig::default()
             });
             let mut cpu = sva_host::HostCpu::default();

@@ -696,9 +696,11 @@ mod tests {
         space.write_virt(&mut mem, src_va, &data).unwrap();
         let dst_va = space.alloc_buffer(&mut mem, &mut frames, len).unwrap();
 
+        let hierarchy = sva_iommu::TlbHierarchyConfig::default();
         let mut iommu = Iommu::new(IommuConfig {
             demand_paging: true,
-            tlb_hierarchy: Some(sva_iommu::TlbHierarchyConfig::default()),
+            atc: Some(hierarchy.l1),
+            iotlb: hierarchy.l2,
             ..IommuConfig::default()
         });
         let mut cpu = sva_host::HostCpu::default();

@@ -15,9 +15,10 @@
 //! 200 / 600 / 1000 cycles.
 
 use sva_cluster::{ClusterConfig, DmaConfig};
-use sva_common::{ArbitrationPolicy, Cycles, Error, QueueDepths, Result};
+use sva_common::{ArbitrationPolicy, Cycles, Error, QueueDepths, Result, TlbOrg};
 use sva_host::{DriverConfig, HostCpuConfig, HostTrafficConfig, InterferenceLevel};
-use sva_iommu::{DeviceDirectory, IommuConfig, IommuMode, TlbHierarchyConfig};
+use sva_iommu::ptw::DEFAULT_MSHR_ENTRIES;
+use sva_iommu::{DeviceDirectory, IommuConfig, IommuMode, TlbHierarchyConfig, TlbLevelConfig};
 use sva_mem::{DramChannelConfig, LlcConfig, MemSysConfig};
 
 /// The three platform variants of the evaluation.
@@ -123,7 +124,6 @@ impl PlatformConfig {
             } else {
                 IommuMode::Disabled
             },
-            iotlb_entries: 4,
             ..IommuConfig::default()
         };
         Self {
@@ -160,9 +160,13 @@ impl PlatformConfig {
         Self::variant(SocVariant::IommuLlc, dram_latency)
     }
 
-    /// Returns a copy with a different IOTLB capacity (ablation).
+    /// Returns a copy whose shared IOTLB is fully associative with
+    /// `entries` entries (ablation); its policy and lookup latency stay.
     pub fn with_iotlb_entries(mut self, entries: usize) -> Self {
-        self.iommu.iotlb_entries = entries;
+        self.iommu.iotlb.org = TlbOrg {
+            sets: 1,
+            ways: entries,
+        };
         self
     }
 
@@ -280,29 +284,29 @@ impl PlatformConfig {
     }
 
     /// Returns a copy with the IOMMU's MSHR-style batched page-table walker
-    /// enabled: concurrent walks that need a PTE read already in flight
-    /// coalesce onto it instead of issuing their own.
-    pub fn with_ptw_batching(mut self) -> Self {
-        self.iommu.ptw_batching = true;
-        self
+    /// at its default size ([`DEFAULT_MSHR_ENTRIES`]): concurrent walks
+    /// that need a PTE read already in flight coalesce onto it instead of
+    /// issuing their own.
+    pub fn with_ptw_batching(self) -> Self {
+        self.with_ptw_mshr_entries(DEFAULT_MSHR_ENTRIES)
     }
 
-    /// Returns a copy with the batched walker enabled and its walk table
-    /// sized to `entries` in-flight PTE reads.
+    /// Returns a copy whose walk table holds up to `entries` in-flight PTE
+    /// reads (0 is the serial walker, the default).
     pub fn with_ptw_mshr_entries(mut self, entries: usize) -> Self {
-        self.iommu.ptw_batching = true;
-        self.iommu.ptw_mshr_entries = entries.max(1);
+        self.iommu.ptw_mshr_entries = entries;
         self
     }
 
     /// Returns a copy whose IOMMU runs the **two-level translation
-    /// hierarchy**: a private L1 ATC per device in front of a shared L2
-    /// IOTLB, each with its own organisation, replacement policy and
-    /// lookup latency (charged into every translation). The default
-    /// (`None`) is the paper prototype's single IOTLB, cycle-identical to
-    /// the pre-hierarchy model.
+    /// hierarchy**: a private L1 ATC per device (`hierarchy.l1`) in front
+    /// of the shared IOTLB (`hierarchy.l2`), each with its own
+    /// organisation, replacement policy and lookup latency (charged into
+    /// every translation). Without it the platform has the paper
+    /// prototype's single IOTLB and no ATC.
     pub fn with_tlb_hierarchy(mut self, hierarchy: TlbHierarchyConfig) -> Self {
-        self.iommu.tlb_hierarchy = Some(hierarchy);
+        self.iommu.atc = Some(hierarchy.l1);
+        self.iommu.iotlb = hierarchy.l2;
         self
     }
 
@@ -338,14 +342,13 @@ impl PlatformConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] for a platform without clusters or
-    /// with more translated clusters than the device directory has device
-    /// IDs for (`num_clusters`), a zero-entry IOTLB
-    /// (`iommu.iotlb_entries`), a DMA engine allowed no outstanding bursts
-    /// (`cluster.dma.max_outstanding`), a zero-slot fabric queue
-    /// (`mem.fabric.req_queue_depth` / `mem.fabric.rsp_queue_depth`), a DRAM
-    /// backend without channels (`mem.fabric.channels.num_channels`) or an
-    /// empty or zero weight list (`mem.fabric.policy`).
+    /// Returns [`Error::InvalidConfig`] naming the knob (and its builder)
+    /// for a zero count, size or depth — clusters, TLB sets or ways, DMA
+    /// outstanding bursts or burst bytes, fabric queue slots, DRAM channels
+    /// or interleave granule, host-traffic region, built-LLC size — for
+    /// more translated clusters than the device directory has IDs for, for
+    /// a Weighted policy with an empty or zero weight list, and for a built
+    /// LLC whose scratchpad takes every way.
     pub(crate) fn validate(&self) -> Result<()> {
         let reject = |reason: &str| {
             Err(Error::InvalidConfig {
@@ -368,11 +371,18 @@ impl PlatformConfig {
                 self.driver.device_id
             ));
         }
-        if self.iommu.iotlb_entries == 0 {
-            return reject("iommu.iotlb_entries (with_iotlb_entries) must be at least 1");
+        let empty = |level: &TlbLevelConfig| level.org.sets == 0 || level.org.ways == 0;
+        if empty(&self.iommu.iotlb) {
+            return reject("iommu.iotlb (with_iotlb_entries) needs at least one set and one way");
+        }
+        if self.iommu.atc.as_ref().is_some_and(empty) {
+            return reject("iommu.atc (with_tlb_hierarchy) needs at least one set and one way");
         }
         if self.cluster.dma.max_outstanding == 0 {
             return reject("cluster.dma.max_outstanding (with_dma_outstanding) must be at least 1");
+        }
+        if self.cluster.dma.max_burst_bytes == 0 {
+            return reject("cluster.dma.max_burst_bytes must be at least 1");
         }
         if self.mem.fabric.req_queue_depth == 0 {
             return reject("mem.fabric.req_queue_depth (with_channel_depths) must be at least 1");
@@ -385,6 +395,9 @@ impl PlatformConfig {
                 "mem.fabric.channels.num_channels (with_memory_channels) must be at least 1",
             );
         }
+        if self.mem.fabric.channels.interleave_granule == 0 {
+            return reject("mem.fabric.channels.interleave_granule must be at least 1");
+        }
         if let ArbitrationPolicy::Weighted(weights) = &self.mem.fabric.policy {
             if weights.is_empty() || weights.contains(&0) {
                 return reject(
@@ -392,6 +405,16 @@ impl PlatformConfig {
                      weight, each at least 1",
                 );
             }
+        }
+        if self.host_traffic.is_some_and(|t| t.region_bytes == 0) {
+            return reject("host_traffic.region_bytes (with_host_traffic) must be at least 1");
+        }
+        let llc = &self.mem.llc;
+        if self.mem.llc_enabled && llc.size_bytes == 0 {
+            return reject("mem.llc.size_bytes must be at least 1");
+        }
+        if self.mem.llc_enabled && llc.spm_ways >= llc.ways {
+            return reject("mem.llc.spm_ways must leave at least one of mem.llc.ways as cache");
         }
         Ok(())
     }
@@ -427,7 +450,9 @@ mod tests {
     #[test]
     fn paper_iotlb_has_four_entries() {
         for v in SocVariant::ALL {
-            assert_eq!(PlatformConfig::variant(v, 200).iommu.iotlb_entries, 4);
+            let iommu = PlatformConfig::variant(v, 200).iommu;
+            assert_eq!(iommu.iotlb.org, TlbOrg::fully_associative(4));
+            assert_eq!(iommu.atc, None);
         }
     }
 
@@ -439,7 +464,7 @@ mod tests {
             .with_dma_through_llc()
             .with_single_buffering()
             .with_interference(InterferenceLevel::RandomTraffic);
-        assert_eq!(c.iommu.iotlb_entries, 16);
+        assert_eq!(c.iommu.iotlb.org.entries(), 16);
         assert_eq!(c.cluster.dma.max_outstanding, 8);
         assert!(c.mem.llc_serves_dma);
         assert!(!c.cluster.double_buffer);

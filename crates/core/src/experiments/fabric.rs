@@ -48,7 +48,8 @@ use sva_mem::ChannelStats;
 pub struct FabricKnobs {
     /// Inject the default timed host-traffic stream into the window.
     pub host_traffic: bool,
-    /// Enable the MSHR-style batched page-table walker.
+    /// Give the page-table walker its default MSHR walk table
+    /// (`PlatformConfig::with_ptw_batching`); off is the serial walker.
     pub ptw_batching: bool,
 }
 
@@ -79,7 +80,8 @@ impl FabricKnobs {
 /// paper prototype's single IOTLB with faults-are-errors.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct TlbKnobs {
-    /// Two-level hierarchy configuration (`None` = single-level IOTLB).
+    /// Two-level hierarchy configuration (`None` = the prototype IOTLB
+    /// without an ATC).
     pub hierarchy: Option<TlbHierarchyConfig>,
     /// Run with demand paging: no up-front mapping, faults are paged in
     /// through the page-request loop.
@@ -160,7 +162,7 @@ pub struct FabricPoint {
     pub rsp_queue_depth: u64,
     /// Whether the timed host-traffic stream was injected into the window.
     pub host_traffic: bool,
-    /// Whether the MSHR-style batched walker was enabled.
+    /// Whether the walker had its default MSHR walk table.
     pub ptw_batching: bool,
     /// Translation-hierarchy label (`"single"` for the prototype IOTLB).
     pub tlb: String,
@@ -172,11 +174,9 @@ pub struct FabricPoint {
     pub compute: u64,
     /// Aggregate DMA-wait cycles across shards.
     pub dma_wait: u64,
-    /// Hit rate of the shared IOTLB (the L2 of the hierarchy; 0 when the
-    /// variant has no IOMMU).
+    /// Hit rate of the shared IOTLB (0 when the variant has no IOMMU).
     pub iotlb_hit_rate: f64,
-    /// Aggregate hit rate of the per-device L1 ATCs (0 in the single-level
-    /// configuration).
+    /// Aggregate hit rate of the per-device L1 ATCs (0 without an ATC).
     pub atc_hit_rate: f64,
     /// Page requests accepted into the page-request queue.
     pub page_requests: u64,
@@ -196,13 +196,13 @@ pub struct FabricPoint {
     pub ptw_walks: u64,
     /// PTE reads the walker issued to memory.
     pub ptw_reads: u64,
-    /// Walk levels served by MSHR coalescing (nonzero only with batching).
+    /// Walk levels served by MSHR coalescing (0 with the serial walker).
     pub ptw_coalesced_reads: u64,
     /// Peak live window-record count of the walker's MSHR walk table
-    /// (0 with batching off).
+    /// (0 with the serial walker).
     pub ptw_walk_table_events_peak: u64,
     /// Walk-table records folded by watermark compaction at device-window
-    /// boundaries (0 with batching off).
+    /// boundaries (0 with the serial walker).
     pub ptw_walk_table_compacted: u64,
     /// Peak size of the PRI `(device, page)` dedup index — the most page
     /// requests pending at once (0 with demand paging off).

@@ -196,6 +196,8 @@ mod tests {
     use super::*;
     use crate::config::SocVariant;
     use sva_common::ArbitrationPolicy;
+    use sva_host::HostTrafficConfig;
+    use sva_iommu::TlbHierarchyConfig;
 
     fn rejected_knob(config: PlatformConfig) -> String {
         match Platform::new(config) {
@@ -208,6 +210,64 @@ mod tests {
     fn zero_entry_iotlb_is_rejected_by_name() {
         let reason = rejected_knob(PlatformConfig::iommu_with_llc(200).with_iotlb_entries(0));
         assert!(reason.contains("iotlb_entries"), "{reason}");
+    }
+
+    #[test]
+    fn zero_set_shared_iotlb_is_rejected_by_name() {
+        let mut hierarchy = TlbHierarchyConfig::default();
+        hierarchy.l2.org.sets = 0;
+        let config = PlatformConfig::iommu_with_llc(200).with_tlb_hierarchy(hierarchy);
+        assert!(rejected_knob(config).contains("iommu.iotlb"));
+    }
+
+    #[test]
+    fn zero_way_atc_is_rejected_by_name() {
+        let mut hierarchy = TlbHierarchyConfig::default();
+        hierarchy.l1.org.ways = 0;
+        let config = PlatformConfig::iommu_with_llc(200).with_tlb_hierarchy(hierarchy);
+        assert!(rejected_knob(config).contains("iommu.atc"));
+    }
+
+    #[test]
+    fn empty_host_traffic_region_is_rejected_by_name() {
+        let traffic = HostTrafficConfig {
+            region_bytes: 0,
+            ..HostTrafficConfig::default()
+        };
+        let config = PlatformConfig::iommu_with_llc(200).with_host_traffic(traffic);
+        assert!(rejected_knob(config).contains("host_traffic.region_bytes"));
+    }
+
+    #[test]
+    fn zero_dma_burst_is_rejected_by_name() {
+        let mut config = PlatformConfig::iommu_with_llc(200);
+        config.cluster.dma.max_burst_bytes = 0;
+        assert!(rejected_knob(config).contains("cluster.dma.max_burst_bytes"));
+    }
+
+    #[test]
+    fn zero_interleave_granule_is_rejected_by_name() {
+        let mut config = PlatformConfig::iommu_with_llc(200).with_memory_channels(2);
+        config.mem.fabric.channels.interleave_granule = 0;
+        assert!(rejected_knob(config).contains("mem.fabric.channels.interleave_granule"));
+    }
+
+    #[test]
+    fn zero_size_llc_is_rejected_by_name() {
+        let mut config = PlatformConfig::iommu_with_llc(200);
+        config.mem.llc.size_bytes = 0;
+        assert!(rejected_knob(config).contains("mem.llc.size_bytes"));
+    }
+
+    #[test]
+    fn all_spm_llc_ways_are_rejected_by_name_when_the_llc_is_built() {
+        let mut config = PlatformConfig::iommu_with_llc(200);
+        config.mem.llc.spm_ways = config.mem.llc.ways;
+        assert!(rejected_knob(config).contains("mem.llc.spm_ways"));
+        // Without an LLC its geometry is never used.
+        let mut config = PlatformConfig::iommu_no_llc(200);
+        config.mem.llc.spm_ways = config.mem.llc.ways;
+        assert!(Platform::new(config).is_ok());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use sva_host::HostTrafficConfig;
 use sva_kernels::GemmWorkload;
 use sva_mem::fabric::{Fabric, FabricConfig};
 use sva_soc::config::PlatformConfig;
-use sva_soc::offload::OffloadRunner;
+use sva_soc::offload::{OffloadMode, OffloadRunner};
 use sva_soc::platform::Platform;
 
 const DRAM_BASE: u64 = 0x8000_0000;
@@ -291,5 +291,60 @@ fn ptw_batching_coalesces_cross_device_walks() {
         batched.ptw_reads + batched.ptw_coalesced_reads,
         serial.ptw_reads,
         "levels are conserved between the serial and batched walkers"
+    );
+}
+
+/// An MSHR count of 0 is the serial walker, not a separate mode: on a
+/// contended 4-cluster platform with host traffic, `with_ptw_mshr_entries(0)`
+/// reproduces the default platform's whole zero-copy report, and nothing
+/// coalesces.
+#[test]
+fn zero_mshr_entries_is_the_default_serial_walker() {
+    let wl = GemmWorkload::with_dim(64);
+    let run = |config: PlatformConfig| {
+        let mut platform = Platform::new(config).unwrap();
+        let report = OffloadRunner::new(0x5E71)
+            .run(&mut platform, &wl, OffloadMode::ZeroCopy)
+            .unwrap();
+        assert!(report.verified);
+        report
+    };
+    let contended = || {
+        PlatformConfig::iommu_no_llc(600)
+            .with_clusters(4)
+            .with_fabric_contention()
+            .with_host_traffic(HostTrafficConfig::default())
+    };
+    let default = run(contended());
+    let zero = run(contended().with_ptw_mshr_entries(0));
+    assert!(default.iommu.ptw_walks > 0);
+    assert_eq!(zero.iommu.ptw_coalesced_reads, 0);
+    assert_eq!(zero.iommu.ptw_walk_table_events_peak, 0);
+    assert_eq!(format!("{default:?}"), format!("{zero:?}"));
+    // The same arrivals do coalesce once the walk table holds reads.
+    let batched = run(contended().with_ptw_batching());
+    assert!(batched.iommu.ptw_coalesced_reads > 0);
+}
+
+/// Without `with_tlb_hierarchy` there is no ATC: no device ever gets one
+/// and the ATC statistics stay zero, while the shared IOTLB serves every
+/// translated access.
+#[test]
+fn default_platform_never_instantiates_an_atc() {
+    let wl = GemmWorkload::with_dim(64);
+    let mut platform = Platform::new(PlatformConfig::iommu_with_llc(200).with_clusters(2)).unwrap();
+    let report = OffloadRunner::new(0xA7C)
+        .run_device_only(&mut platform, &wl)
+        .unwrap();
+    assert!(report.verified);
+    for cluster in 0..2 {
+        let device = platform.cluster_device_id(cluster);
+        assert!(platform.iommu.atc(device).is_none(), "device {device}");
+    }
+    assert_eq!(report.iommu.atc.total(), 0);
+    assert_eq!(platform.iommu.stats().atc.total(), 0);
+    assert_eq!(
+        report.iommu.iotlb.total(),
+        report.iommu.translations - report.iommu.bypassed
     );
 }

@@ -7,14 +7,15 @@
 //!
 //! # The translation hierarchy
 //!
-//! By default the IOMMU keeps the paper prototype's single 4-entry,
-//! fully-associative, true-LRU IOTLB. [`IommuConfig::tlb_hierarchy`]
-//! upgrades it to a configurable **two-level hierarchy**: one private L1
-//! address-translation cache (ATC) per device in front of one shared L2
-//! IOTLB, each with its own organisation ([`sva_common::TlbOrg`]),
-//! replacement policy ([`sva_common::ReplacementPolicy`]) and lookup
-//! latency. A translation probes L1, then L2 (filling L1 on an L2 hit),
-//! then walks the page table (filling both levels), charging the
+//! The IOMMU always has one shared IOTLB ([`IommuConfig::iotlb`]); by
+//! default it is the paper prototype's 4-entry, fully-associative,
+//! true-LRU IOTLB with a 2-cycle lookup. [`IommuConfig::atc`] adds a
+//! private L1 address-translation cache (ATC) per device in front of it,
+//! making a **two-level hierarchy**. Each level has its own organisation
+//! ([`sva_common::TlbOrg`]), replacement policy
+//! ([`sva_common::ReplacementPolicy`]) and lookup latency. A translation
+//! probes the ATC (if any), then the shared IOTLB (filling the ATC on a
+//! hit), then walks the page table (filling both levels), charging the
 //! per-level latencies into the cycles it returns — so TLB pressure shows
 //! up in DMA issue times, not only in hit rates. Invalidation commands
 //! purge **both** levels plus the walker's in-flight MSHR registers.
@@ -89,7 +90,8 @@ impl TlbLevelConfig {
 }
 
 /// The two-level translation hierarchy: a private L1 ATC per device in
-/// front of a shared L2 IOTLB.
+/// front of a shared L2 IOTLB. A builder-side bundle: it sets
+/// [`IommuConfig::atc`] to `l1` and [`IommuConfig::iotlb`] to `l2`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct TlbHierarchyConfig {
     /// The per-device L1 address-translation cache.
@@ -123,30 +125,22 @@ impl Default for TlbHierarchyConfig {
 pub struct IommuConfig {
     /// Operating mode.
     pub mode: IommuMode,
-    /// Number of IOTLB entries (the prototype uses 4). Ignored when
-    /// [`IommuConfig::tlb_hierarchy`] is set — the hierarchy's level
-    /// configurations size the TLBs then.
-    pub iotlb_entries: usize,
-    /// Latency of an IOTLB lookup (hit or miss detection) in the
-    /// single-level configuration. The hierarchy charges its per-level
-    /// `lookup_latency` knobs instead.
-    pub iotlb_hit_latency: Cycles,
+    /// The shared IOTLB behind every device. The default is the paper
+    /// prototype's: 4 fully-associative true-LRU entries, 2-cycle lookup.
+    pub iotlb: TlbLevelConfig,
+    /// The private per-device L1 address-translation cache in front of the
+    /// shared IOTLB. `None` — the default — is the paper prototype's single
+    /// IOTLB.
+    pub atc: Option<TlbLevelConfig>,
     /// Fixed pipeline latency added to every translated transaction.
     pub pipeline_latency: Cycles,
     /// Capacity of the fault queue.
     pub fault_queue_entries: usize,
-    /// Enables the MSHR-style batched page-table walker: concurrent walks
-    /// that need a PTE read already in flight coalesce onto it instead of
-    /// issuing their own (see [`crate::ptw`]). Off by default — the serial
-    /// walker is the paper's prototype.
-    pub ptw_batching: bool,
-    /// Capacity of the batched walker's walk table (in-flight PTE reads);
-    /// ignored with batching off.
+    /// Capacity of the walker's MSHR-style walk table: how many PTE reads
+    /// may be held in flight for concurrent walks to coalesce onto (see
+    /// [`crate::ptw`]). 0 — the default — holds nothing: the serial walker
+    /// of the paper's prototype.
     pub ptw_mshr_entries: usize,
-    /// The two-level translation hierarchy (per-device L1 ATC + shared L2
-    /// IOTLB). `None` — the default — is the paper prototype's single
-    /// IOTLB, cycle-identical to the pre-hierarchy model.
-    pub tlb_hierarchy: Option<TlbHierarchyConfig>,
     /// ATS/PRI-style demand paging: a translation fault enqueues a page
     /// request for the host instead of producing a terminal error, and the
     /// faulting device stalls-and-retries (see [`crate::pri`]). Off by
@@ -167,13 +161,15 @@ impl Default for IommuConfig {
     fn default() -> Self {
         Self {
             mode: IommuMode::Translating,
-            iotlb_entries: 4,
-            iotlb_hit_latency: Cycles::new(2),
+            iotlb: TlbLevelConfig::new(
+                TlbOrg::fully_associative(4),
+                ReplacementPolicy::TrueLru,
+                Cycles::new(2),
+            ),
+            atc: None,
             pipeline_latency: Cycles::new(2),
             fault_queue_entries: 64,
-            ptw_batching: false,
-            ptw_mshr_entries: crate::ptw::DEFAULT_MSHR_ENTRIES,
-            tlb_hierarchy: None,
+            ptw_mshr_entries: 0,
             demand_paging: false,
             page_request_entries: 16,
             max_fault_retries: 8,
@@ -199,11 +195,10 @@ pub struct IommuStats {
     pub translations: u64,
     /// Requests that bypassed translation.
     pub bypassed: u64,
-    /// Hit/miss counts of the shared IOTLB (the single TLB in the default
-    /// configuration; the L2 level of the hierarchy).
+    /// Hit/miss counts of the shared IOTLB.
     pub iotlb: HitMiss,
-    /// Aggregate hit/miss counts of the per-device L1 ATCs (all zero in the
-    /// single-level configuration).
+    /// Aggregate hit/miss counts of the per-device L1 ATCs (all zero
+    /// without an ATC).
     pub atc: HitMiss,
     /// Device-context cache hit/miss counts.
     pub dc_cache: HitMiss,
@@ -214,7 +209,7 @@ pub struct IommuStats {
     /// PTE reads the walker issued to memory.
     pub ptw_reads: u64,
     /// Walk levels served by MSHR coalescing instead of a memory read
-    /// (always zero with batching off).
+    /// (always zero with 0 MSHR entries).
     pub ptw_coalesced_reads: u64,
     /// Per-walk latency statistics (Figure 5 reports the mean).
     pub ptw_time: RunningStats,
@@ -239,7 +234,7 @@ pub struct IommuStats {
     /// requests pending at once (0 with demand paging off).
     pub page_request_pending_peak: usize,
     /// Peak live window-record count of the walker's MSHR walk table
-    /// (always zero with batching off).
+    /// (always zero with 0 MSHR entries).
     pub ptw_walk_table_events_peak: usize,
     /// Walk-table window records folded away by watermark compaction at
     /// device-window boundaries.
@@ -252,12 +247,11 @@ pub struct Iommu {
     config: IommuConfig,
     regs: RegisterFile,
     ddt: Option<DeviceDirectory>,
-    /// The shared IOTLB: the only TLB in the single-level configuration,
-    /// the L2 of the hierarchy.
+    /// The shared IOTLB.
     iotlb: IoTlb,
     /// Per-device L1 address-translation caches, ordered by device ID;
-    /// instantiated lazily on first translation and only when
-    /// `config.tlb_hierarchy` is set.
+    /// instantiated lazily on first translation and only when `config.atc`
+    /// is set.
     atcs: Vec<(u32, IoTlb)>,
     ptw: PageTableWalker,
     commands: BoundedQueue<Command>,
@@ -290,16 +284,9 @@ impl Iommu {
         Self {
             regs: RegisterFile::new(),
             ddt: None,
-            iotlb: match config.tlb_hierarchy {
-                Some(h) => IoTlb::with_org(h.l2.org, h.l2.policy),
-                None => IoTlb::new(config.iotlb_entries),
-            },
+            iotlb: IoTlb::with_org(config.iotlb.org, config.iotlb.policy),
             atcs: Vec::new(),
-            ptw: if config.ptw_batching {
-                PageTableWalker::with_batching(config.ptw_mshr_entries)
-            } else {
-                PageTableWalker::new()
-            },
+            ptw: PageTableWalker::with_batching(config.ptw_mshr_entries),
             commands: BoundedQueue::new(64),
             faults: BoundedQueue::new(config.fault_queue_entries),
             page_requests: BoundedQueue::new(config.page_request_entries.max(1)),
@@ -447,8 +434,8 @@ impl Iommu {
             .map(|pos| &mut self.atcs[pos].1)
     }
 
-    /// The L1 ATC of `device_id`, created on first use from the hierarchy's
-    /// L1 level configuration. Only called on the hierarchy path.
+    /// The L1 ATC of `device_id`, created on first use from the ATC level
+    /// configuration. Only called when `config.atc` is set.
     fn atc_mut(&mut self, device_id: u32, level: TlbLevelConfig) -> &mut IoTlb {
         let pos = match self.atc_index(device_id) {
             Ok(pos) => pos,
@@ -641,40 +628,32 @@ impl Iommu {
             return Ok((PhysAddr::new(iova.raw()), cycles));
         }
 
-        // 2. TLB lookups: either the prototype's single IOTLB or the
-        // two-level hierarchy (private L1 ATC, then shared L2), each level
-        // charging its configured lookup latency into the transaction.
+        // 2. TLB lookups: the private ATC (if configured), then the shared
+        // IOTLB, each level charging its lookup latency into the
+        // transaction. A cached entry that does not permit the access falls
+        // through to a fresh walk, so the fault is reported with up-to-date
+        // state.
         let permits = |entry: &crate::iotlb::IoTlbEntry| {
             entry.flags.contains(sva_vm::PteFlags::W) || !is_write
         };
-        match self.config.tlb_hierarchy {
-            None => {
-                cycles += self.config.iotlb_hit_latency;
-                if let Some(entry) = self.iotlb.lookup(device_id, iova) {
-                    if permits(&entry) {
-                        return Ok((entry.translate(iova), cycles));
-                    }
-                    // Cached entry does not permit the access: fall through
-                    // to a fresh walk so the fault is reported with
-                    // up-to-date state.
+        let atc = self.config.atc;
+        if let Some(level) = atc {
+            cycles += level.lookup_latency;
+            if let Some(entry) = self.atc_mut(device_id, level).lookup(device_id, iova) {
+                if permits(&entry) {
+                    return Ok((entry.translate(iova), cycles));
                 }
             }
-            Some(h) => {
-                cycles += h.l1.lookup_latency;
-                if let Some(entry) = self.atc_mut(device_id, h.l1).lookup(device_id, iova) {
-                    if permits(&entry) {
-                        return Ok((entry.translate(iova), cycles));
-                    }
+        }
+        cycles += self.config.iotlb.lookup_latency;
+        if let Some(entry) = self.iotlb.lookup(device_id, iova) {
+            if permits(&entry) {
+                // A shared-IOTLB hit refills the private ATC.
+                if let Some(level) = atc {
+                    self.atc_mut(device_id, level)
+                        .fill(device_id, iova, entry.ppn, entry.flags);
                 }
-                cycles += h.l2.lookup_latency;
-                if let Some(entry) = self.iotlb.lookup(device_id, iova) {
-                    if permits(&entry) {
-                        // L2 hit refills the private ATC.
-                        self.atc_mut(device_id, h.l1)
-                            .fill(device_id, iova, entry.ppn, entry.flags);
-                        return Ok((entry.translate(iova), cycles));
-                    }
-                }
+                return Ok((entry.translate(iova), cycles));
             }
         }
 
@@ -689,8 +668,8 @@ impl Iommu {
                 cycles += res.cycles;
                 self.iotlb
                     .fill(device_id, iova, res.leaf.ppn(), res.leaf.flags());
-                if let Some(h) = self.config.tlb_hierarchy {
-                    self.atc_mut(device_id, h.l1).fill(
+                if let Some(level) = atc {
+                    self.atc_mut(device_id, level).fill(
                         device_id,
                         iova,
                         res.leaf.ppn(),
@@ -1018,15 +997,14 @@ impl Iommu {
         }
     }
 
-    /// Direct access to the shared IOTLB — the single TLB in the default
-    /// configuration, the L2 of the hierarchy (for ablation experiments and
+    /// Direct access to the shared IOTLB (for ablation experiments and
     /// tests).
     pub const fn iotlb(&self) -> &IoTlb {
         &self.iotlb
     }
 
-    /// Direct access to the L1 ATC of `device_id`, if the hierarchy is
-    /// configured and the device has translated at least once.
+    /// Direct access to the L1 ATC of `device_id`, if an ATC is configured
+    /// and the device has translated at least once.
     pub fn atc(&self, device_id: u32) -> Option<&IoTlb> {
         self.atc_index(device_id).ok().map(|pos| &self.atcs[pos].1)
     }
@@ -1225,8 +1203,10 @@ mod tests {
     }
 
     fn hierarchy_config() -> IommuConfig {
+        let h = TlbHierarchyConfig::default();
         IommuConfig {
-            tlb_hierarchy: Some(TlbHierarchyConfig::default()),
+            atc: Some(h.l1),
+            iotlb: h.l2,
             ..IommuConfig::default()
         }
     }
@@ -1277,18 +1257,16 @@ mod tests {
         // delta between an L1 hit and an L2 hit is exactly the L2 knob.
         let config = IommuConfig {
             pipeline_latency: Cycles::ZERO,
-            tlb_hierarchy: Some(TlbHierarchyConfig {
-                l1: TlbLevelConfig::new(
-                    TlbOrg::fully_associative(1),
-                    ReplacementPolicy::TrueLru,
-                    Cycles::new(3),
-                ),
-                l2: TlbLevelConfig::new(
-                    TlbOrg::fully_associative(8),
-                    ReplacementPolicy::TrueLru,
-                    Cycles::new(11),
-                ),
-            }),
+            atc: Some(TlbLevelConfig::new(
+                TlbOrg::fully_associative(1),
+                ReplacementPolicy::TrueLru,
+                Cycles::new(3),
+            )),
+            iotlb: TlbLevelConfig::new(
+                TlbOrg::fully_associative(8),
+                ReplacementPolicy::TrueLru,
+                Cycles::new(11),
+            ),
             ..IommuConfig::default()
         };
         let (mut mem, mut frames, space, va) = setup();

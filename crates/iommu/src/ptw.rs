@@ -1,4 +1,4 @@
-//! The IOMMU page-table walker, with an optional MSHR-style walk table.
+//! The IOMMU page-table walker and its MSHR-style walk table.
 //!
 //! On every IOTLB miss the walker performs up to [`sva_vm::PT_LEVELS`]
 //! **dependent** reads through the IOMMU's dedicated AXI master port — each
@@ -21,7 +21,7 @@
 //! *miss status holding registers*: a second walk that needs a PTE read
 //! already in flight latches onto it instead of issuing its own.
 //!
-//! [`PageTableWalker::with_batching`] enables exactly that model. The walk
+//! [`PageTableWalker::with_batching`] sizes exactly that model. The walk
 //! table records every in-flight PTE read as `(address, value, issue time,
 //! completion time)`. A walk that reaches a PTE whose read is outstanding
 //! at its current time — issued at or before `now`, completing after it —
@@ -79,8 +79,9 @@
 //! `event_count`/`compacted_events`/`watermark`/`debug_validate`
 //! observables.
 //!
-//! With batching disabled the walker is exactly the serial walker of the
-//! paper's prototype, read for read and cycle for cycle.
+//! With 0 MSHR entries (the default) no read is ever held, so no walk can
+//! coalesce: the walker is exactly the serial walker of the paper's
+//! prototype, read for read and cycle for cycle.
 
 use std::collections::BTreeMap;
 
@@ -103,8 +104,8 @@ pub struct PtwResult {
     /// Number of memory reads issued.
     pub reads: u32,
     /// Number of levels served by coalescing onto an in-flight read of
-    /// another walk instead of issuing a memory read (always zero with
-    /// batching disabled).
+    /// another walk instead of issuing a memory read (always zero with 0
+    /// MSHR entries).
     pub coalesced: u32,
 }
 
@@ -342,35 +343,28 @@ pub struct PageTableWalker<T = WalkTable> {
     pte_reads: u64,
     /// Total levels served by MSHR coalescing instead of a memory read.
     coalesced_reads: u64,
-    /// Whether the MSHR-style walk table is active.
-    batching: bool,
-    /// Capacity of the walk table (ignored with batching off).
+    /// Capacity of the walk table: how many held reads may be in flight at
+    /// once. 0 holds nothing, which is the serial walker.
     mshr_entries: usize,
     /// The in-flight PTE reads.
     table: T,
 }
 
 impl PageTableWalker {
-    /// Creates a serial walker (no batching) with empty statistics.
+    /// Creates a serial walker (0 MSHR entries) with empty statistics.
     pub fn new() -> Self {
         Self::default()
     }
 }
 
 impl<T: WalkStore> PageTableWalker<T> {
-    /// Creates a walker with the MSHR-style walk table enabled, holding up
-    /// to `mshr_entries` in-flight PTE reads (clamped to at least one).
+    /// Creates a walker whose MSHR-style walk table holds up to
+    /// `mshr_entries` in-flight PTE reads (0 is the serial walker).
     pub fn with_batching(mshr_entries: usize) -> Self {
         Self {
-            batching: true,
-            mshr_entries: mshr_entries.max(1),
+            mshr_entries,
             ..Self::default()
         }
-    }
-
-    /// Whether the MSHR-style walk table is active.
-    pub const fn batching(&self) -> bool {
-        self.batching
     }
 
     /// One timestamped PTE fetch: either coalesce onto an in-flight read of
@@ -386,43 +380,37 @@ impl<T: WalkStore> PageTableWalker<T> {
         now: Cycles,
         in_flight_limit: usize,
     ) -> Result<(u64, Cycles, bool)> {
-        if self.batching {
-            // A register serves this walk only while its read is genuinely
-            // outstanding at the walk's current time: issued at or before
-            // `now` and completing after it. Entries outside that window are
-            // dead *for this walk* but may still serve a conceptually
-            // concurrent walk whose time falls inside it (shards are
-            // simulated sequentially, so arrival times interleave
-            // arbitrarily) — they are only reclaimed by watermark
-            // compaction or an invalidation.
-            if let Some((value, complete)) = self.table.probe(pte_addr.raw(), now.raw()) {
-                self.coalesced_reads += 1;
-                return Ok((value, Cycles::new(complete), true));
-            }
+        // A register serves this walk only while its read is genuinely
+        // outstanding at the walk's current time: issued at or before `now`
+        // and completing after it. Entries outside that window are dead *for
+        // this walk* but may still serve a conceptually concurrent walk whose
+        // time falls inside it (shards are simulated sequentially, so arrival
+        // times interleave arbitrarily) — they are only reclaimed by
+        // watermark compaction or an invalidation. With 0 entries the table
+        // stays empty and the probe never hits.
+        if let Some((value, complete)) = self.table.probe(pte_addr.raw(), now.raw()) {
+            self.coalesced_reads += 1;
+            return Ok((value, Cycles::new(complete), true));
         }
         let mut buf = [0u8; 8];
         let rsp = mem.access(MemReq::read(InitiatorId::Ptw, pte_addr, &mut buf).at(now))?;
         let value = u64::from_le_bytes(buf);
         let complete = now + rsp.latency();
         self.pte_reads += 1;
-        if self.batching {
-            // The MSHR capacity is a *concurrency* bound: a new read is only
-            // held in a register if fewer than `in_flight_limit` reads are
-            // in flight at its issue instant — an unheld read simply cannot
-            // be coalesced on (the serial fallback). Records of completed
-            // reads are retained for the rest of the measurement window,
-            // because shards are simulated sequentially: a later-simulated,
-            // conceptually concurrent walk may revisit any instant of the
-            // window and must find the registers that were live then. The
-            // table is purged per window (statistics reset) and on every
-            // invalidation. A zero-latency read is never held: its empty
-            // window can neither serve a coalescing walk nor count as in
-            // flight.
-            let in_flight_now = self.table.in_flight_at(now.raw());
-            if in_flight_now < in_flight_limit && complete > now {
-                self.table
-                    .hold(pte_addr.raw(), value, now.raw(), complete.raw());
-            }
+        // The MSHR capacity is a *concurrency* bound: a new read is only held
+        // in a register if fewer than `in_flight_limit` reads are in flight
+        // at its issue instant — an unheld read simply cannot be coalesced on
+        // (the serial fallback, and with a limit of 0 the serial walker).
+        // Records of completed reads are retained for the rest of the
+        // measurement window, because shards are simulated sequentially: a
+        // later-simulated, conceptually concurrent walk may revisit any
+        // instant of the window and must find the registers that were live
+        // then. The table is purged per window (statistics reset) and on
+        // every invalidation. A zero-latency read is never held: its empty
+        // window can neither serve a coalescing walk nor count as in flight.
+        if complete > now && self.table.in_flight_at(now.raw()) < in_flight_limit {
+            self.table
+                .hold(pte_addr.raw(), value, now.raw(), complete.raw());
         }
         Ok((value, complete, false))
     }
@@ -489,11 +477,7 @@ impl<T: WalkStore> PageTableWalker<T> {
         let mut t = now;
         let mut reads = 0u32;
         let mut coalesced = 0u32;
-        let in_flight_limit = if self.batching {
-            self.in_flight_limit(mem)
-        } else {
-            0
-        };
+        let in_flight_limit = self.in_flight_limit(mem);
 
         for level in 0..PT_LEVELS {
             let pte_addr = pte_address(table, va, level);
@@ -801,17 +785,13 @@ mod tests {
         assert_eq!(second.coalesced, 0);
     }
 
-    /// Batching off is the serial walker, read for read and cycle for cycle,
-    /// even under arrival patterns that would coalesce.
+    /// 0 MSHR entries is the serial walker, read for read and cycle for
+    /// cycle, even under arrival patterns that would coalesce.
     #[test]
     fn batching_off_is_equivalent_to_the_serial_walker() {
-        let run = |batching: bool| -> Vec<(u64, u32, u32)> {
+        let run = |entries: usize| -> Vec<(u64, u32, u32)> {
             let (mut mem, space, iova) = mapped_space_pages(false, 600, 4);
-            let mut ptw = if batching {
-                PageTableWalker::with_batching(DEFAULT_MSHR_ENTRIES)
-            } else {
-                PageTableWalker::new()
-            };
+            let mut ptw: PageTableWalker = PageTableWalker::with_batching(entries);
             let mut out = Vec::new();
             for i in 0..6u64 {
                 let page = i % 4;
@@ -828,15 +808,15 @@ mod tests {
             }
             out
         };
-        let serial = run(false);
+        let serial = run(0);
         assert!(
             serial.iter().all(|&(_, reads, co)| reads == 3 && co == 0),
             "serial walker never coalesces: {serial:?}"
         );
-        // A second serial run is deterministic; with batching the same
+        // A second serial run is deterministic; with MSHR entries the same
         // arrivals coalesce and walks get cheaper, never more expensive.
-        assert_eq!(serial, run(false));
-        let batched = run(true);
+        assert_eq!(serial, run(0));
+        let batched = run(DEFAULT_MSHR_ENTRIES);
         assert!(batched.iter().any(|&(_, _, co)| co > 0));
         for (s, b) in serial.iter().zip(&batched) {
             assert!(b.0 <= s.0, "batching must not slow a walk: {b:?} vs {s:?}");

@@ -18,6 +18,7 @@
 
 use sva_common::rng::DeterministicRng;
 use sva_common::{Cycles, Iova, PAGE_SIZE};
+use sva_iommu::ptw::DEFAULT_MSHR_ENTRIES;
 use sva_iommu::{Command, Iommu, IommuConfig, TlbHierarchyConfig};
 use sva_mem::{MemSysConfig, MemorySystem};
 use sva_vm::{AddressSpace, FrameAllocator, PteFlags};
@@ -42,9 +43,11 @@ fn no_stale_translation_survives_invalidate_page_under_concurrent_walks() {
         .alloc_buffer(&mut mem, &mut frames, PAGES * PAGE_SIZE)
         .unwrap();
 
+    let hierarchy = TlbHierarchyConfig::default();
     let mut iommu = Iommu::new(IommuConfig {
-        tlb_hierarchy: Some(TlbHierarchyConfig::default()),
-        ptw_batching: true,
+        atc: Some(hierarchy.l1),
+        iotlb: hierarchy.l2,
+        ptw_mshr_entries: DEFAULT_MSHR_ENTRIES,
         ..IommuConfig::default()
     });
     for device in DEVICES {
